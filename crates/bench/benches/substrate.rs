@@ -13,7 +13,7 @@ use litsynth_core::check_minimal;
 use litsynth_litmus::suites::classics;
 use litsynth_litmus::{canonical_key_exact, canonical_key_hash};
 use litsynth_models::{oracle, Tso};
-use litsynth_sat::{Lit, Solver, Var};
+use litsynth_sat::{Lit, NoExchange, SolveBudget, Solver, Var};
 
 fn pigeonhole(n: usize) -> Solver {
     let m = n - 1;
@@ -38,7 +38,9 @@ fn main() {
     let mut g = Group::new("substrate", 20);
     g.bench("sat/pigeonhole_7_into_6", || {
         let mut s = pigeonhole(7);
-        assert!(!s.solve().is_sat());
+        assert!(!s
+            .solve(&[], &mut NoExchange, &SolveBudget::unlimited())
+            .is_sat());
     });
 
     let (wrc, o) = classics::wrc();

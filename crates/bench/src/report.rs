@@ -5,6 +5,7 @@ use litsynth_core::{SymbolicTest, SynthConfig};
 use litsynth_litmus::{canonical_key_exact, Execution, LitmusTest, Outcome};
 use litsynth_models::{MemoryModel, SymAlg};
 use litsynth_relalg::{Bit, Finder};
+use litsynth_sat::{NoExchange, SolveBudget};
 use std::collections::BTreeMap;
 
 /// Synthesizes the union suite over a bound range with a per-query time
@@ -70,13 +71,17 @@ pub fn enumerate_all_tests<M: MemoryModel>(model: &M, n: usize) -> Vec<(LitmusTe
     }
     let circuit = alg.into_circuit();
     let mut finder = Finder::new(&circuit);
+    let budget = SolveBudget::unlimited();
     let mut programs: BTreeMap<String, LitmusTest> = BTreeMap::new();
-    while let Some(inst) = finder.next_instance(&circuit, &st.wellformed) {
+    while let Some(inst) = finder
+        .next_instance_budgeted_assuming(&circuit, &st.wellformed, &[], &mut NoExchange, &budget)
+        .expect("an unlimited budget never interrupts")
+    {
         let (test, _) = st.extract(&circuit, &inst);
         programs
             .entry(canonical_key_exact(&test, &Outcome::empty()))
             .or_insert(test);
-        finder.block(&circuit, &inst, &static_bits);
+        finder.block_guarded(&circuit, &inst, &static_bits, None);
     }
     // All candidate outcomes per program.
     let mut out = Vec::new();
@@ -122,10 +127,14 @@ pub fn count_programs_sat<M: MemoryModel>(model: &M, n: usize) -> usize {
     }
     let circuit = alg.into_circuit();
     let mut finder = Finder::new(&circuit);
+    let budget = SolveBudget::unlimited();
     let mut count = 0;
-    while let Some(inst) = finder.next_instance(&circuit, &st.wellformed) {
+    while let Some(inst) = finder
+        .next_instance_budgeted_assuming(&circuit, &st.wellformed, &[], &mut NoExchange, &budget)
+        .expect("an unlimited budget never interrupts")
+    {
         count += 1;
-        finder.block(&circuit, &inst, &static_bits);
+        finder.block_guarded(&circuit, &inst, &static_bits, None);
         assert!(count < 5_000_000, "runaway enumeration");
     }
     count

@@ -968,6 +968,19 @@ mod tests {
     use super::*;
     use litsynth_models::{Sc, Tso};
     use litsynth_relalg::Finder;
+    use litsynth_sat::{NoExchange, SolveBudget};
+
+    /// Test shorthand: the next instance with no guard, exchange or budget.
+    fn next(f: &mut Finder, c: &Circuit, asserts: &[Bit]) -> Option<Instance> {
+        f.next_instance_budgeted_assuming(
+            c,
+            asserts,
+            &[],
+            &mut NoExchange,
+            &SolveBudget::unlimited(),
+        )
+        .expect("an unlimited budget never interrupts")
+    }
 
     #[test]
     fn vocabulary_matches_model() {
@@ -986,7 +999,7 @@ mod tests {
         let mut finder = Finder::new(&circuit);
         let asserts = st.wellformed.clone();
         let mut seen = 0;
-        while let Some(inst) = finder.next_instance(&circuit, &asserts) {
+        while let Some(inst) = next(&mut finder, &circuit, &asserts) {
             let (test, outcome) = st.extract(&circuit, &inst);
             assert_eq!(test.num_events(), 3);
             // The extracted outcome is realizable by a candidate execution.
@@ -998,7 +1011,7 @@ mod tests {
                 "unrealizable extraction: {test} {}",
                 outcome.display(&test)
             );
-            finder.block(&circuit, &inst, &st.observables);
+            finder.block_guarded(&circuit, &inst, &st.observables, None);
             seen += 1;
             if seen > 200 {
                 break;
@@ -1018,7 +1031,7 @@ mod tests {
         let circuit = alg.into_circuit();
         let mut finder = Finder::new(&circuit);
         let mut seen = 0;
-        while let Some(inst) = finder.next_instance(&circuit, &st.wellformed) {
+        while let Some(inst) = next(&mut finder, &circuit, &st.wellformed) {
             let (test, _) = st.extract(&circuit, &inst);
             for t in test.threads() {
                 if !t.is_empty() {
@@ -1026,7 +1039,7 @@ mod tests {
                     assert!(!t[t.len() - 1].is_fence(), "{test}");
                 }
             }
-            finder.block(&circuit, &inst, &st.observables);
+            finder.block_guarded(&circuit, &inst, &st.observables, None);
             seen += 1;
             if seen > 100 {
                 break;

@@ -1065,11 +1065,21 @@ fn journal_hit_result(tests: CanonicalSuite, elapsed: Duration) -> SynthResult {
 /// per-axiom suites. Read-only defense in depth for the byte-identity
 /// bar: it never mutates the suite, and a disagreement is a synthesis or
 /// model bug, so it panics.
+///
+/// Tests that write one address three or more times are exempt: there a
+/// final value pins only the last write, so the coherence order the
+/// synthesized instance forbids is not the only one the outcome admits,
+/// and the checker may find the outcome observable (the paper's §4.2 /
+/// Fig. 5c class). The engine keeps emitting them; they are the one
+/// allowed divergence.
 fn cross_check_suite<M: MemoryModel>(model: &M, axiom: &str, cfg: &SynthConfig, r: &SynthResult) {
     if !cfg.cross_check {
         return;
     }
     for (key, (test, outcome)) in &r.tests {
+        if writes_one_address_thrice(test) {
+            continue;
+        }
         assert!(
             litsynth_models::check::forbidden(model, test, outcome),
             "cross-check failed: {key} (model {}, axiom {axiom}) claims a forbidden \
@@ -1077,6 +1087,14 @@ fn cross_check_suite<M: MemoryModel>(model: &M, axiom: &str, cfg: &SynthConfig, 
             model.name(),
         );
     }
+}
+
+/// Whether `test` writes some address three or more times — the class
+/// [`cross_check_suite`] exempts.
+fn writes_one_address_thrice(test: &LitmusTest) -> bool {
+    test.addresses()
+        .into_iter()
+        .any(|a| test.writes_to(a).len() >= 3)
 }
 
 /// Journals `r` if it is complete: not truncated, no degraded workers, and
@@ -1441,10 +1459,23 @@ pub fn plan_units<M: MemoryModel>(
     bounds: std::ops::RangeInclusive<usize>,
     mk_cfg: impl Fn(usize) -> SynthConfig,
 ) -> Vec<UnitPlan> {
+    plan_query(model, model.axioms(), bounds, mk_cfg)
+}
+
+/// [`plan_units`] restricted to `axioms`: the model's axiom order is kept
+/// within each bound, so a request for an axiom subset is still planned
+/// (and therefore merged and fingerprinted) in model order, never request
+/// order.
+pub fn plan_query<M: MemoryModel>(
+    model: &M,
+    axioms: &[&'static str],
+    bounds: std::ops::RangeInclusive<usize>,
+    mk_cfg: impl Fn(usize) -> SynthConfig,
+) -> Vec<UnitPlan> {
     let mut units = Vec::new();
     for bound in bounds {
         let cfg = mk_cfg(bound);
-        for &axiom in model.axioms() {
+        for &axiom in model.axioms().iter().filter(|a| axioms.contains(a)) {
             let seq = units.len();
             units.push(UnitPlan {
                 unit: litsynth_portfolio::WorkUnit {
@@ -1963,6 +1994,26 @@ mod tests {
                 "inprocess={inprocess} tiered={tiered} shelve={shelve} \
                  domain={domain} vault={vault} threads={threads} cube_bits={cube_bits}"
             );
+        }
+    }
+
+    #[test]
+    fn tso_cross_check_up_to_bound_4_exempts_only_three_write_tests() {
+        // Bound 4 is the first to emit tests writing one address three
+        // times; the cross-check must run through them without a panic,
+        // and the exemption must not silently widen: exactly two emitted
+        // tests are checker-observable, and both are in that class.
+        let m = Tso::new();
+        let suite =
+            synthesize_union_up_to(&m, 2..=4, |n| SynthConfig::new(n).with_cross_check(true));
+        let observable: Vec<(&String, &LitmusTest)> = suite
+            .iter()
+            .filter(|(_, (t, o))| !litsynth_models::check::forbidden(&m, t, o))
+            .map(|(k, (t, _))| (k, t))
+            .collect();
+        assert_eq!(observable.len(), 2, "{observable:?}");
+        for (key, test) in observable {
+            assert!(writes_one_address_thrice(test), "{key}: {test}");
         }
     }
 

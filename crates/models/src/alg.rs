@@ -359,6 +359,7 @@ impl RelAlg for SymAlg {
 mod tests {
     use super::*;
     use litsynth_relalg::Finder;
+    use litsynth_sat::{NoExchange, SolveBudget};
 
     /// The same generic computation must agree concretely and symbolically.
     fn check_both(edges: &[(usize, usize)], n: usize) {
@@ -404,7 +405,11 @@ mod tests {
         let root = alg.and(ac, some);
         let circ = alg.into_circuit();
         let mut f = Finder::new(&circ);
-        let inst = f.next_instance(&circ, &[root]).expect("exists");
+        let budget = SolveBudget::unlimited();
+        let inst = f
+            .next_instance_budgeted_assuming(&circ, &[root], &[], &mut NoExchange, &budget)
+            .expect("an unlimited budget never interrupts")
+            .expect("exists");
         // Extract and verify concretely.
         let mut cr = Rel::new(3);
         for i in 0..3 {

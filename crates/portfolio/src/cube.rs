@@ -16,16 +16,20 @@
 //! every setting.
 
 use litsynth_relalg::{Bit, Circuit, CompiledCircuit, Finder};
+use litsynth_sat::{NoExchange, SolveBudget};
 use std::collections::HashSet;
 
 /// Ranks `candidates` as cube-pin bits for the query `asserts` over the
 /// compiled circuit, best pin first.
 ///
-/// Constant bits and candidates sharing a CNF variable with an earlier one
+/// Constant bits and candidates sharing a circuit node with an earlier one
 /// are dropped (pinning them would not split, or would split unevenly and
-/// unsoundly). With `probe_conflicts == 0` the surviving candidates keep
-/// their given order — the classic slot-0 rule; otherwise a probing solve
-/// ranks them by VSIDS activity (descending, ties by candidate order).
+/// unsoundly); compilation gives every node its own CNF variable, so this
+/// is the same as deduplicating by variable. With `probe_conflicts == 0`
+/// the surviving candidates keep their given order — the classic slot-0
+/// rule, which needs no solver; otherwise a conflict-budgeted probing
+/// solve ranks them by VSIDS activity (descending, ties by candidate
+/// order).
 pub fn rank_pins(
     c: &Circuit,
     compiled: &CompiledCircuit,
@@ -33,28 +37,28 @@ pub fn rank_pins(
     candidates: &[Bit],
     probe_conflicts: u64,
 ) -> Vec<Bit> {
-    let mut f = Finder::attach(compiled);
-    let mut seen_vars: HashSet<usize> = HashSet::new();
-    let mut uniq: Vec<Bit> = Vec::with_capacity(candidates.len());
-    for &b in candidates {
-        if b == Circuit::TRUE || b == Circuit::FALSE {
-            continue;
-        }
-        let var = f.lit_of(c, b).var().index();
-        if seen_vars.insert(var) {
-            uniq.push(b);
-        }
-    }
+    let mut seen_nodes: HashSet<usize> = HashSet::new();
+    let uniq: Vec<Bit> = candidates
+        .iter()
+        .copied()
+        .filter(|&b| b != Circuit::TRUE && b != Circuit::FALSE && seen_nodes.insert(b.node()))
+        .collect();
     if probe_conflicts == 0 || uniq.len() <= 1 {
         return uniq;
     }
+    // The probe is thrown away after at most `probe_conflicts` conflicts,
+    // so it skips level-0 inprocessing: its activities then come from
+    // plain search alone.
+    let mut f = Finder::attach(compiled);
+    f.set_inprocessing(false);
     // Focus the probe on this query's cone. On a sweep-shared layer chain
     // the compiled formula also carries other bounds' and axioms' layers;
     // an unwarmed probe would burn its conflict budget deciding those dead
     // variables in index order. Warming is a pure function of the query,
     // so the ranking stays deterministic.
     f.warm(c, asserts.iter().chain(&uniq).copied());
-    let _ = f.probe(c, asserts, probe_conflicts);
+    let budget = SolveBudget::conflicts(probe_conflicts);
+    let _ = f.next_instance_budgeted_assuming(c, asserts, &[], &mut NoExchange, &budget);
     let mut scored: Vec<(usize, Bit, f64)> = uniq
         .into_iter()
         .enumerate()

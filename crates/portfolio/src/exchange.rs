@@ -121,8 +121,8 @@ impl ExchangeBus {
     }
 }
 
-/// A worker's handle on the bus; plugs into
-/// [`litsynth_sat::Solver::solve_exchanging`].
+/// A worker's handle on the bus; plugs into [`litsynth_sat::Solver::solve`]
+/// as its exchange endpoint.
 #[derive(Debug)]
 pub struct ExchangeEndpoint {
     bus: Arc<ExchangeBus>,

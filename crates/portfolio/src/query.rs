@@ -163,7 +163,7 @@ impl CompiledQuery {
 mod tests {
     use super::*;
     use crate::exchange::{ExchangeBus, ExchangeConfig};
-    use litsynth_sat::NoExchange;
+    use litsynth_sat::{NoExchange, SolveBudget};
 
     fn build_query() -> (CompiledQuery, Vec<Bit>, Bit) {
         let mut c = Circuit::new();
@@ -188,9 +188,13 @@ mod tests {
         let mut asserts = vec![root];
         asserts.extend(q.cube_pins(cube, cube_bits));
         let mut classes = Vec::new();
-        while let Some(inst) = f.next_instance_exchanging(q.circuit(), &asserts, exchange) {
+        let budget = SolveBudget::unlimited();
+        while let Some(inst) = f
+            .next_instance_budgeted_assuming(q.circuit(), &asserts, &[], exchange, &budget)
+            .expect("an unlimited budget never interrupts")
+        {
             classes.push(inst.eval_many(q.circuit(), xs));
-            f.block(q.circuit(), &inst, xs);
+            f.block_guarded(q.circuit(), &inst, xs, None);
             assert!(classes.len() <= 32);
         }
         classes

@@ -14,8 +14,10 @@ use std::collections::HashMap;
 pub struct Bit(u32);
 
 impl Bit {
+    /// The index of the node this bit references; a bit and its
+    /// complement share one node.
     #[inline]
-    pub(crate) fn node(self) -> usize {
+    pub fn node(self) -> usize {
         (self.0 >> 1) as usize
     }
 

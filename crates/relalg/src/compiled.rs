@@ -351,6 +351,7 @@ fn translate_cones<I: IntoIterator<Item = Bit>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::finder::tests::next;
     use crate::Finder;
 
     #[test]
@@ -366,8 +367,8 @@ mod tests {
         // 3 inputs + xy + ¬(¬xy ∧ ¬z) gate + root2 gate = 6 vars.
         assert_eq!(compiled.num_vars(), 6);
         let mut f = Finder::attach(&compiled);
-        assert!(f.next_instance(&c, &[root1]).is_some());
-        assert!(f.next_instance(&c, &[root2]).is_some());
+        assert!(next(&mut f, &c, &[root1]).is_some());
+        assert!(next(&mut f, &c, &[root2]).is_some());
     }
 
     #[test]
@@ -414,9 +415,9 @@ mod tests {
         assert_eq!(ext.num_vars(), base_vars + 2);
         // The extension is solvable, and the untouched base still is too.
         let mut f = Finder::attach(&ext);
-        assert!(f.next_instance(&c, &[root]).is_some());
+        assert!(next(&mut f, &c, &[root]).is_some());
         let mut fb = Finder::attach(&base);
-        assert!(fb.next_instance(&c, &[xy]).is_some());
+        assert!(next(&mut fb, &c, &[xy]).is_some());
     }
 
     #[test]
@@ -435,7 +436,7 @@ mod tests {
         assert_eq!(ext.num_vars(), plain.num_vars());
         assert_eq!(ext.num_clauses(), plain.num_clauses());
         let mut f = Finder::attach_lazy(&ext);
-        assert!(f.next_instance(&c, &[xy]).is_some());
+        assert!(next(&mut f, &c, &[xy]).is_some());
     }
 
     #[test]

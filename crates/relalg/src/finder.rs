@@ -3,8 +3,7 @@
 use crate::circuit::{Bit, Circuit, Node};
 use crate::compiled::CompiledCircuit;
 use litsynth_sat::{
-    BudgetedResult, ClauseExchange, Interrupt, Lit, NoExchange, SolveBudget, SolveResult, Solver,
-    Var,
+    BudgetedResult, ClauseExchange, Interrupt, Lit, SolveBudget, SolveResult, Solver, Var,
 };
 
 /// A satisfying assignment to the circuit inputs.
@@ -78,9 +77,13 @@ impl Instance {
 ///
 /// ```ignore
 /// let mut finder = Finder::new(&circuit);
-/// while let Some(inst) = finder.next_instance(&circuit, &asserts) {
+/// let budget = SolveBudget::unlimited();
+/// while let Some(inst) = finder
+///     .next_instance_budgeted_assuming(&circuit, &asserts, &[], &mut NoExchange, &budget)
+///     .expect("an unlimited budget never interrupts")
+/// {
 ///     /* extract a model instance */
-///     finder.block(&circuit, &inst, &observable_bits);
+///     finder.block_guarded(&circuit, &inst, &observable_bits, None);
 /// }
 /// ```
 #[derive(Debug)]
@@ -115,12 +118,7 @@ impl Finder {
     /// translation of uncompiled bits, and assumptions all work, privately
     /// per finder.
     pub fn attach(compiled: &CompiledCircuit) -> Finder {
-        Finder {
-            solver: Solver::attach_shared(compiled.cnf().clone()),
-            node_var: compiled.node_var().to_vec(),
-            const_true: compiled.const_true(),
-            input_of_var: compiled.input_of_var().to_vec(),
-        }
+        Finder::over(compiled, Solver::attach_shared(compiled.cnf().clone()))
     }
 
     /// [`Finder::attach`], but via [`Solver::attach_shared_lazy`]: the
@@ -132,8 +130,14 @@ impl Finder {
     /// formula already contains, so the enumerated instance set is
     /// identical to an eager attach.
     pub fn attach_lazy(compiled: &CompiledCircuit) -> Finder {
+        Finder::over(compiled, Solver::attach_shared_lazy(compiled.cnf().clone()))
+    }
+
+    /// The one attach constructor: `solver` is attached to `compiled`'s
+    /// arena, and the node→variable maps are cloned from it.
+    fn over(compiled: &CompiledCircuit, solver: Solver) -> Finder {
         Finder {
-            solver: Solver::attach_shared_lazy(compiled.cnf().clone()),
+            solver,
             node_var: compiled.node_var().to_vec(),
             const_true: compiled.const_true(),
             input_of_var: compiled.input_of_var().to_vec(),
@@ -309,14 +313,6 @@ impl Finder {
         )
     }
 
-    /// Finds the next instance satisfying all `asserts`, or `None`.
-    ///
-    /// The assertions are passed as solver assumptions, so they constrain
-    /// only this call; blocking clauses added via [`Finder::block`] persist.
-    pub fn next_instance(&mut self, c: &Circuit, asserts: &[Bit]) -> Option<Instance> {
-        self.next_instance_exchanging(c, asserts, &mut NoExchange)
-    }
-
     /// Allocates a fresh activation guard for one enumeration pass.
     ///
     /// A guard is a solver literal with no circuit meaning. Blocking
@@ -350,8 +346,26 @@ impl Finder {
         self.solver.add_clause([!guard]);
     }
 
-    /// [`Finder::next_instance_budgeted`] with extra assumption literals —
-    /// typically one activation guard from [`Finder::new_guard`].
+    /// Finds the next instance satisfying all `asserts`: the one
+    /// enumeration call.
+    ///
+    /// The assertions and the `extra` literals — typically one activation
+    /// guard from [`Finder::new_guard`] — are passed as solver
+    /// assumptions, so they constrain only this call; blocking clauses
+    /// added via [`Finder::block_guarded`] persist. The solver trades
+    /// learnt clauses with portfolio peers through `exchange` at its
+    /// restart boundaries (imports may only prune, so the enumerated set
+    /// is unchanged as long as the endpoint honors the soundness contract
+    /// in [`litsynth_sat::ClauseExchange`]).
+    ///
+    /// `Ok(Some(inst))` is the next instance, `Ok(None)` means the query is
+    /// exhausted, and `Err(interrupt)` means `budget`, a deadline,
+    /// cancellation, or an injected fault stopped the solve first. On
+    /// `Err` the finder stays warm (blocking clauses, learnt clauses and
+    /// VSIDS activities are kept), so the call can be retried with a
+    /// larger budget, or the activities read back with
+    /// [`Finder::activity_of`] — which is how the portfolio's pin probe
+    /// ranks cube candidates.
     pub fn next_instance_budgeted_assuming(
         &mut self,
         c: &Circuit,
@@ -364,55 +378,7 @@ impl Finder {
             return Ok(None);
         };
         assumptions.extend_from_slice(extra);
-        self.solve_assuming(c, &assumptions, exchange, budget)
-    }
-
-    /// [`Finder::next_instance`] with learnt-clause exchange: the solver
-    /// trades learnt clauses with portfolio peers through `exchange` at its
-    /// restart boundaries. Imported clauses may only prune the search — the
-    /// set of enumerated instances is unchanged as long as the exchange
-    /// endpoint honors the soundness contract in
-    /// [`litsynth_sat::ClauseExchange`].
-    pub fn next_instance_exchanging(
-        &mut self,
-        c: &Circuit,
-        asserts: &[Bit],
-        exchange: &mut dyn ClauseExchange,
-    ) -> Option<Instance> {
-        match self.next_instance_budgeted(c, asserts, exchange, &SolveBudget::unlimited()) {
-            Ok(r) => r,
-            Err(i) => unreachable!("unlimited budget cannot interrupt, got {i:?}"),
-        }
-    }
-
-    /// [`Finder::next_instance_exchanging`] under a [`SolveBudget`].
-    ///
-    /// `Ok(Some(inst))` is the next instance, `Ok(None)` means the query is
-    /// exhausted, and `Err(interrupt)` means a budget, deadline,
-    /// cancellation, or injected fault stopped the solve first. On `Err`
-    /// the finder stays warm (blocking clauses and learnt clauses are
-    /// kept), so the call can be retried with a larger budget.
-    pub fn next_instance_budgeted(
-        &mut self,
-        c: &Circuit,
-        asserts: &[Bit],
-        exchange: &mut dyn ClauseExchange,
-        budget: &SolveBudget,
-    ) -> Result<Option<Instance>, Interrupt> {
-        let Some(assumptions) = self.assumptions_for(c, asserts) else {
-            return Ok(None);
-        };
-        self.solve_assuming(c, &assumptions, exchange, budget)
-    }
-
-    fn solve_assuming(
-        &mut self,
-        c: &Circuit,
-        assumptions: &[Lit],
-        exchange: &mut dyn ClauseExchange,
-        budget: &SolveBudget,
-    ) -> Result<Option<Instance>, Interrupt> {
-        match self.solver.solve_budgeted(assumptions, exchange, budget) {
+        match self.solver.solve(&assumptions, exchange, budget) {
             BudgetedResult::Interrupted(i) => Err(i),
             BudgetedResult::Done(SolveResult::Unsat) => Ok(None),
             BudgetedResult::Done(SolveResult::Sat) => {
@@ -445,22 +411,6 @@ impl Finder {
         Some(assumptions)
     }
 
-    /// Runs a short, conflict-bounded probing solve under `asserts`.
-    ///
-    /// Returns `Some(sat)` on a definitive answer, `None` when the budget
-    /// ran out first. Either way the solver is left warm: its VSIDS
-    /// activities ([`Finder::activity_of`]) reflect which variables drove
-    /// the search, which is what adaptive cube selection ranks pin
-    /// candidates by.
-    pub fn probe(&mut self, c: &Circuit, asserts: &[Bit], max_conflicts: u64) -> Option<bool> {
-        let Some(assumptions) = self.assumptions_for(c, asserts) else {
-            return Some(false);
-        };
-        self.solver
-            .solve_limited(&assumptions, max_conflicts)
-            .map(SolveResult::is_sat)
-    }
-
     /// The VSIDS activity of the CNF variable behind `bit` (0.0 for
     /// constants and for bits whose cone never conflicted).
     pub fn activity_of(&mut self, c: &Circuit, bit: Bit) -> f64 {
@@ -472,13 +422,8 @@ impl Finder {
     }
 
     /// Permanently excludes every instance that agrees with `inst` on all of
-    /// the `observed` bits.
-    pub fn block(&mut self, c: &Circuit, inst: &Instance, observed: &[Bit]) {
-        self.block_guarded(c, inst, observed, None);
-    }
-
-    /// [`Finder::block`] under an activation guard: the blocking clause is
-    /// `¬guard ∨ block`, active only while `guard` is assumed (see
+    /// the `observed` bits — while `guard` is assumed, when one is given:
+    /// the blocking clause is then `¬guard ∨ block` (see
     /// [`Finder::new_guard`]). `None` blocks unconditionally.
     pub fn block_guarded(
         &mut self,
@@ -507,9 +452,22 @@ impl Finder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::matrix::{Matrix1, Matrix2};
+    use litsynth_sat::NoExchange;
+
+    /// Test shorthand: the next instance with no guard, exchange or budget.
+    pub(crate) fn next(f: &mut Finder, c: &Circuit, asserts: &[Bit]) -> Option<Instance> {
+        f.next_instance_budgeted_assuming(
+            c,
+            asserts,
+            &[],
+            &mut NoExchange,
+            &SolveBudget::unlimited(),
+        )
+        .expect("an unlimited budget never interrupts")
+    }
 
     #[test]
     fn sat_and_unsat_roots() {
@@ -518,19 +476,19 @@ mod tests {
         let y = c.input("y");
         let both = c.and(x, y);
         let mut f = Finder::new(&c);
-        let inst = f.next_instance(&c, &[both]).expect("x∧y is satisfiable");
+        let inst = next(&mut f, &c, &[both]).expect("x∧y is satisfiable");
         assert!(inst.eval(&c, x));
         assert!(inst.eval(&c, y));
         let contradiction = c.and(x, x.not());
-        assert!(f.next_instance(&c, &[contradiction]).is_none());
+        assert!(next(&mut f, &c, &[contradiction]).is_none());
     }
 
     #[test]
     fn constants_as_asserts() {
         let c = Circuit::new();
         let mut f = Finder::new(&c);
-        assert!(f.next_instance(&c, &[Circuit::TRUE]).is_some());
-        assert!(f.next_instance(&c, &[Circuit::FALSE]).is_none());
+        assert!(next(&mut f, &c, &[Circuit::TRUE]).is_some());
+        assert!(next(&mut f, &c, &[Circuit::FALSE]).is_none());
     }
 
     #[test]
@@ -542,9 +500,9 @@ mod tests {
         let root = c.or(x, y);
         let mut f = Finder::new(&c);
         let mut n = 0;
-        while let Some(inst) = f.next_instance(&c, &[root]) {
+        while let Some(inst) = next(&mut f, &c, &[root]) {
             n += 1;
-            f.block(&c, &inst, &[x, y]);
+            f.block_guarded(&c, &inst, &[x, y], None);
             assert!(n <= 3);
         }
         assert_eq!(n, 3);
@@ -559,9 +517,9 @@ mod tests {
         let obs = c.xor(x, y);
         let mut f = Finder::new(&c);
         let mut n = 0;
-        while let Some(inst) = f.next_instance(&c, &[Circuit::TRUE]) {
+        while let Some(inst) = next(&mut f, &c, &[Circuit::TRUE]) {
             n += 1;
-            f.block(&c, &inst, &[obs]);
+            f.block_guarded(&c, &inst, &[obs], None);
             assert!(n <= 2);
         }
         assert_eq!(n, 2);
@@ -572,9 +530,9 @@ mod tests {
         let mut c = Circuit::new();
         let x = c.input("x");
         let mut f = Finder::new(&c);
-        assert!(f.next_instance(&c, &[x]).is_some());
-        assert!(f.next_instance(&c, &[x.not()]).is_some());
-        assert!(f.next_instance(&c, &[x]).is_some());
+        assert!(next(&mut f, &c, &[x]).is_some());
+        assert!(next(&mut f, &c, &[x.not()]).is_some());
+        assert!(next(&mut f, &c, &[x]).is_some());
     }
 
     #[test]
@@ -585,7 +543,7 @@ mod tests {
         let f2 = c.ite(xs[2], f1, xs[3]);
         let root = c.and(f2, xs[0]);
         let mut f = Finder::new(&c);
-        let inst = f.next_instance(&c, &[root]).expect("satisfiable");
+        let inst = next(&mut f, &c, &[root]).expect("satisfiable");
         assert!(inst.eval(&c, root));
         assert!(inst.eval(&c, xs[0]));
     }
@@ -611,9 +569,9 @@ mod tests {
             .collect();
         let mut f = Finder::new(&c);
         let mut n = 0;
-        while let Some(inst) = f.next_instance(&c, &asserts) {
+        while let Some(inst) = next(&mut f, &c, &asserts) {
             n += 1;
-            f.block(&c, &inst, &observed);
+            f.block_guarded(&c, &inst, &observed, None);
             assert!(n <= 6);
         }
         assert_eq!(n, 6);
@@ -636,16 +594,16 @@ mod tests {
         let mut interrupts = 0;
         loop {
             // First try under the expired deadline: always interrupted.
-            match f.next_instance_budgeted(&c, &[root], &mut NoExchange, &expired) {
+            match f.next_instance_budgeted_assuming(&c, &[root], &[], &mut NoExchange, &expired) {
                 Err(Interrupt::Deadline) => interrupts += 1,
                 other => panic!("expected deadline interrupt, got {other:?}"),
             }
             // Retry without a budget: the finder stayed warm.
-            match f.next_instance(&c, &[root]) {
+            match next(&mut f, &c, &[root]) {
                 None => break,
                 Some(inst) => {
                     n += 1;
-                    f.block(&c, &inst, &[x, y]);
+                    f.block_guarded(&c, &inst, &[x, y], None);
                     assert!(n <= 3);
                 }
             }
@@ -684,9 +642,9 @@ mod tests {
             let mut asserts = vec![root];
             asserts.extend(mk_pins(&xs));
             let mut n = 0;
-            while let Some(inst) = f.next_instance(&c, &asserts) {
+            while let Some(inst) = next(&mut f, &c, &asserts) {
                 n += 1;
-                f.block(&c, &inst, &xs);
+                f.block_guarded(&c, &inst, &xs, None);
                 assert!(n <= 32);
             }
             n
@@ -724,9 +682,9 @@ mod tests {
         let obs = vec![xs[0], xs[1], a];
         let enumerate = |mut f: Finder| {
             let mut seen = Vec::new();
-            while let Some(inst) = f.next_instance(&c, &[root]) {
+            while let Some(inst) = next(&mut f, &c, &[root]) {
                 seen.push(inst.eval_many(&c, &obs));
-                f.block(&c, &inst, &obs);
+                f.block_guarded(&c, &inst, &obs, None);
                 assert!(seen.len() <= 8);
             }
             seen.sort();
@@ -754,9 +712,9 @@ mod tests {
             let mut asserts = vec![root];
             asserts.extend_from_slice(pins);
             let mut n = 0;
-            while let Some(inst) = f.next_instance(&c, &asserts) {
+            while let Some(inst) = next(&mut f, &c, &asserts) {
                 n += 1;
-                f.block(&c, &inst, &xs);
+                f.block_guarded(&c, &inst, &xs, None);
                 assert!(n <= 32);
             }
             n
@@ -840,7 +798,9 @@ mod tests {
         let compiled = CompiledCircuit::compile(&c, roots);
         let rank = |_: ()| {
             let mut f = Finder::attach(&compiled);
-            let _ = f.probe(&c, &[func, inj], 50);
+            let probe = SolveBudget::conflicts(50);
+            let _ =
+                f.next_instance_budgeted_assuming(&c, &[func, inj], &[], &mut NoExchange, &probe);
             let mut scored: Vec<(usize, f64)> = obs
                 .iter()
                 .enumerate()
@@ -868,9 +828,9 @@ mod tests {
         let observed: Vec<Bit> = (0..4).map(|i| s.get(i)).collect();
         let mut f = Finder::new(&c);
         let mut n = 0;
-        while let Some(inst) = f.next_instance(&c, &[has0]) {
+        while let Some(inst) = next(&mut f, &c, &[has0]) {
             n += 1;
-            f.block(&c, &inst, &observed);
+            f.block_guarded(&c, &inst, &observed, None);
             assert!(n <= 8);
         }
         assert_eq!(n, 8);

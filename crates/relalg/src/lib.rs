@@ -23,6 +23,7 @@
 //!
 //! ```
 //! use litsynth_relalg::{Circuit, Finder, Matrix2};
+//! use litsynth_sat::{NoExchange, SolveBudget};
 //!
 //! let mut c = Circuit::new();
 //! let r = Matrix2::free(&mut c, 3, 3, "r");
@@ -32,7 +33,10 @@
 //!     tc.is_total_on_distinct(&mut c),
 //! ];
 //! let mut finder = Finder::new(&c);
-//! let inst = finder.next_instance(&c, &asserts).expect("a total order exists");
+//! let inst = finder
+//!     .next_instance_budgeted_assuming(&c, &asserts, &[], &mut NoExchange, &SolveBudget::unlimited())
+//!     .expect("an unlimited budget never interrupts")
+//!     .expect("a total order exists");
 //! let mut edges = 0;
 //! for i in 0..3 {
 //!     for j in 0..3 {

@@ -500,14 +500,15 @@ impl Matrix2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::finder::tests::next;
     use crate::finder::Finder;
 
     fn count_instances(c: &Circuit, asserts: &[Bit], observed: &[Bit]) -> usize {
         let mut f = Finder::new(c);
         let mut n = 0;
-        while let Some(inst) = f.next_instance(c, asserts) {
+        while let Some(inst) = next(&mut f, c, asserts) {
             n += 1;
-            f.block(c, &inst, observed);
+            f.block_guarded(c, &inst, observed, None);
             assert!(n < 10_000, "runaway enumeration");
         }
         n

@@ -2,14 +2,14 @@
 //!
 //! A production synthesis run fans thousands of SAT queries over many
 //! workers for hours; a single pathological query must never pin a worker
-//! forever. [`SolveBudget`] bounds one [`Solver::solve_budgeted`] call by
+//! forever. [`SolveBudget`] bounds one [`Solver::solve`] call by
 //! conflicts, propagations, and wall clock, and carries an optional
 //! [`CancelToken`] so an external supervisor can stop the search. All
 //! limits are checked **at restart boundaries** — the solver never pays a
 //! per-propagation check, so a budgeted solve costs the same as an
 //! unbudgeted one, and a solve stops within one restart of its deadline.
 //!
-//! [`Solver::solve_budgeted`]: crate::Solver::solve_budgeted
+//! [`Solver::solve`]: crate::Solver::solve
 
 use crate::fault::FaultCtx;
 use crate::solver::SolveResult;
@@ -99,7 +99,7 @@ impl BudgetedResult {
     }
 }
 
-/// Limits for one `solve_budgeted` call. The default is unlimited: zero
+/// Limits for one `Solver::solve` call. The default is unlimited: zero
 /// budgets mean "no limit", absent deadline/token mean "never".
 #[derive(Clone, Debug, Default)]
 pub struct SolveBudget {
@@ -118,7 +118,7 @@ pub struct SolveBudget {
 }
 
 impl SolveBudget {
-    /// An unlimited budget — `solve_budgeted` with this never interrupts.
+    /// An unlimited budget — a solve under it never interrupts.
     pub fn unlimited() -> SolveBudget {
         SolveBudget::default()
     }

@@ -169,7 +169,13 @@ mod tests {
         assert_eq!(cnf.num_vars, 2);
         assert_eq!(cnf.clauses.len(), 2);
         let mut s = cnf.into_solver();
-        assert!(s.solve().is_sat());
+        assert!(s
+            .solve(
+                &[],
+                &mut crate::NoExchange,
+                &crate::SolveBudget::unlimited()
+            )
+            .is_sat());
     }
 
     #[test]
@@ -197,6 +203,12 @@ mod tests {
         let text = "p cnf 1 2\n1 0\n-1 0\n";
         let cnf = Cnf::parse_dimacs(text).unwrap();
         let mut s = cnf.into_solver();
-        assert!(!s.solve().is_sat());
+        assert!(!s
+            .solve(
+                &[],
+                &mut crate::NoExchange,
+                &crate::SolveBudget::unlimited()
+            )
+            .is_sat());
     }
 }

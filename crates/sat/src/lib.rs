@@ -23,26 +23,32 @@
 //! * incremental clause addition between `solve` calls (used for
 //!   blocking-clause model enumeration).
 //!
+//! There is one way into the search: [`Solver::solve`] takes assumption
+//! literals, a [`ClauseExchange`] endpoint, and a [`SolveBudget`] — the
+//! paper's single incremental solve-under-assumptions call. Pass
+//! [`NoExchange`] and [`SolveBudget::unlimited`] for a plain solve.
+//!
 //! For portfolio solving, a formula can be compiled once into an immutable
 //! [`SharedCnf`] arena (via [`CnfBuilder`]) and attached to any number of
-//! solvers with [`Solver::attach_shared`]; cooperating solvers can trade
-//! learnt clauses through a [`ClauseExchange`] endpoint via
-//! [`Solver::solve_exchanging`], and [`Solver::solve_limited`] supports
-//! short probing runs whose VSIDS activities ([`Solver::activity`]) drive
-//! adaptive cube selection in `litsynth-portfolio`.
+//! solvers with [`Solver::attach_shared`] (or, with definitional layers
+//! left dormant until referenced, [`Solver::attach_shared_lazy`]);
+//! cooperating solvers trade learnt clauses through their exchange
+//! endpoints, and a conflict-budgeted solve ([`SolveBudget::conflicts`])
+//! is a short probing run whose VSIDS activities ([`Solver::activity`])
+//! drive adaptive cube selection in `litsynth-portfolio`.
 //!
-//! For resilience, [`Solver::solve_budgeted`] bounds a solve by conflicts,
-//! propagations, and wall clock under a [`SolveBudget`], honors a shared
-//! [`CancelToken`], and returns [`BudgetedResult::Interrupted`] instead of
-//! looping forever; a [`FaultPlan`] (normally armed via the
-//! `LITSYNTH_FAULT_PLAN` environment variable) injects panics, interrupts,
-//! and stalls at deterministic (query, cube, attempt, restart) coordinates
-//! so every recovery path can be exercised in tests.
+//! For resilience, the budget also bounds a solve by propagations and wall
+//! clock, honors a shared [`CancelToken`], and yields
+//! [`BudgetedResult::Interrupted`] instead of looping forever; a
+//! [`FaultPlan`] (normally armed via the `LITSYNTH_FAULT_PLAN` environment
+//! variable) injects panics, interrupts, and stalls at deterministic
+//! (query, cube, attempt, restart) coordinates so every recovery path can
+//! be exercised in tests.
 //!
 //! # Example
 //!
 //! ```
-//! use litsynth_sat::{Solver, Lit};
+//! use litsynth_sat::{Lit, NoExchange, SolveBudget, Solver};
 //!
 //! let mut s = Solver::new();
 //! let a = s.new_var();
@@ -50,7 +56,7 @@
 //! // (a ∨ b) ∧ (¬a ∨ b) — forces b.
 //! s.add_clause([Lit::pos(a), Lit::pos(b)]);
 //! s.add_clause([Lit::neg(a), Lit::pos(b)]);
-//! assert!(s.solve().is_sat());
+//! assert!(s.solve(&[], &mut NoExchange, &SolveBudget::unlimited()).is_sat());
 //! assert_eq!(s.value(b), Some(true));
 //! ```
 
@@ -76,10 +82,15 @@ pub use types::{Lit, Var};
 mod tests {
     use super::*;
 
+    fn is_sat(s: &mut Solver) -> bool {
+        s.solve(&[], &mut NoExchange, &SolveBudget::unlimited())
+            .is_sat()
+    }
+
     #[test]
     fn empty_formula_is_sat() {
         let mut s = Solver::new();
-        assert!(s.solve().is_sat());
+        assert!(is_sat(&mut s));
     }
 
     #[test]
@@ -87,7 +98,7 @@ mod tests {
         let mut s = Solver::new();
         let a = s.new_var();
         s.add_clause([Lit::pos(a)]);
-        assert!(s.solve().is_sat());
+        assert!(is_sat(&mut s));
         assert_eq!(s.value(a), Some(true));
     }
 
@@ -97,6 +108,6 @@ mod tests {
         let a = s.new_var();
         s.add_clause([Lit::pos(a)]);
         s.add_clause([Lit::neg(a)]);
-        assert!(!s.solve().is_sat());
+        assert!(!is_sat(&mut s));
     }
 }

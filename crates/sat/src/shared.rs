@@ -177,8 +177,6 @@ pub struct SharedCnf {
     num_lits: usize,
     /// All unit clauses of the chain, in layer order.
     units: Vec<Lit>,
-    /// Per-unit provenance, aligned with `units`.
-    unit_skeleton: Vec<bool>,
     ok: bool,
 }
 
@@ -196,12 +194,6 @@ impl SharedCnf {
     /// The unit clauses, as literals.
     pub fn units(&self) -> &[Lit] {
         &self.units
-    }
-
-    /// Whether unit `i` (indexing [`SharedCnf::units`]) comes from a
-    /// skeleton layer.
-    pub fn unit_is_skeleton(&self, i: usize) -> bool {
-        self.unit_skeleton[i]
     }
 
     /// `false` if an empty clause was added: the formula is trivially
@@ -524,13 +516,11 @@ impl CnfBuilder {
         let mut num_clauses = 0usize;
         let mut num_lits = 0usize;
         let mut units = Vec::new();
-        let mut unit_skeleton = Vec::new();
         for l in &layers {
             clause_start.push(num_clauses);
             num_clauses += l.ranges.len();
             num_lits += l.lits.len();
             units.extend_from_slice(&l.units);
-            unit_skeleton.extend(l.units.iter().map(|_| l.skeleton));
         }
         SharedCnf {
             num_vars: layers.last().map_or(0, |l| l.num_vars),
@@ -539,7 +529,6 @@ impl CnfBuilder {
             num_clauses,
             num_lits,
             units,
-            unit_skeleton,
             ok: self.ok,
         }
     }
@@ -598,10 +587,17 @@ mod tests {
         assert_eq!(ext.clause(1), &[Lit::neg(v1), Lit::pos(v2)]);
         assert!(ext.clause_is_skeleton(0));
         assert!(!ext.clause_is_skeleton(1));
-        // Units concatenate in layer order with provenance.
+        // Units concatenate in layer order: exactly the layers' own units
+        // back to back, which is the order attach enqueues them in.
         assert_eq!(ext.units(), &[Lit::neg(v0), Lit::pos(v2)]);
-        assert!(ext.unit_is_skeleton(0));
-        assert!(!ext.unit_is_skeleton(1));
+        let concat: Vec<Lit> = ext
+            .layers()
+            .iter()
+            .flat_map(|l| l.units().iter().copied())
+            .collect();
+        assert_eq!(ext.units(), &concat[..]);
+        assert!(ext.layers()[0].is_skeleton());
+        assert!(!ext.layers()[1].is_skeleton());
         // The base layer is literally shared, not copied.
         assert!(Arc::ptr_eq(&base.layers()[0], &ext.layers()[0]));
         // The base view is untouched.

@@ -14,19 +14,10 @@
 //! restart empties this cache but a journaled query still replays with
 //! zero compilations.
 
+use litsynth_core::fnv1a;
 use litsynth_portfolio::WorkUnit;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-
-/// FNV-1a, the same constants the journal's fingerprints use.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The cache key for a whole query: a versioned FNV-1a fold over the
 /// query's units in merge order. Each unit contributes its journal key

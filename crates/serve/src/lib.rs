@@ -38,10 +38,11 @@ pub mod worker;
 
 pub use cache::{suite_fingerprint, CacheStats, SuiteCache};
 pub use client::{Client, ClientConfig, ClientError, ServedSuite};
+pub use litsynth_core::plan_query;
 pub use protocol::{CheckReply, CheckRequest, Progress, QueryReply, QueryRequest};
 pub use remote::{BatchStats, RemotePool, RemoteStats};
 pub use server::{ServeConfig, Server, ServerStats};
 pub use shard::{
-    plan_query, run_distributed, run_sharded, sharded_union, ShardConfig, ShardFault, ShardRunStats,
+    run_distributed, run_sharded, sharded_union, ShardConfig, ShardFault, ShardRunStats,
 };
 pub use worker::{run_worker, FaultKind, WorkerConfig, WorkerFault, WorkerHandle};

@@ -25,10 +25,10 @@ use crate::protocol::{
     read_frame, seal_body, write_frame, CheckRequest, Progress, QueryReply, QueryRequest,
 };
 use crate::remote::{BatchStats, RemotePool, RemoteStats};
-use crate::shard::{plan_query, run_distributed, ShardConfig, ShardFault, ShardRunStats};
+use crate::shard::{run_distributed, ShardConfig, ShardFault, ShardRunStats};
 use litsynth_core::{
-    encode_suite_body, merge_unit_suites, CanonicalSuite, Journal, ProgressSink, SynthConfig,
-    UnitPlan,
+    encode_suite_body, merge_unit_suites, plan_query, CanonicalSuite, Journal, ProgressSink,
+    SynthConfig, UnitPlan,
 };
 use litsynth_models::MemoryModel;
 use litsynth_sat::FaultPlan;

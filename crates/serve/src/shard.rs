@@ -25,11 +25,10 @@
 //! coarser failure of losing a whole shard thread.
 
 use litsynth_core::{
-    config_fingerprint, merge_unit_suites, query_key, run_unit, CanonicalSuite, SynthConfig,
-    SynthResult, UnitPlan,
+    merge_unit_suites, run_unit, CanonicalSuite, SynthConfig, SynthResult, UnitPlan,
 };
 use litsynth_models::MemoryModel;
-use litsynth_portfolio::{StealQueue, WorkUnit};
+use litsynth_portfolio::StealQueue;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -83,37 +82,6 @@ pub struct ShardRunStats {
     pub respawns: u64,
     /// Scheduling steps over all shard threads (liveness signal).
     pub heartbeats: u64,
-}
-
-/// Plans a query as claimable units: bounds ascending, the model's axiom
-/// order restricted to `axioms` within each bound, `seq` numbering the
-/// lot. With `axioms == model.axioms()` this is exactly
-/// [`litsynth_core::plan_units`]; the restriction exists so a request for
-/// an axiom subset is still planned (and therefore merged and
-/// fingerprinted) in model order, never request order.
-pub fn plan_query<M: MemoryModel>(
-    model: &M,
-    axioms: &[&'static str],
-    bounds: std::ops::RangeInclusive<usize>,
-    mk_cfg: impl Fn(usize) -> SynthConfig,
-) -> Vec<UnitPlan> {
-    let mut plans = Vec::new();
-    for bound in bounds {
-        let cfg = mk_cfg(bound);
-        for &axiom in model.axioms().iter().filter(|a| axioms.contains(a)) {
-            plans.push(UnitPlan {
-                unit: WorkUnit {
-                    key: query_key(model.name(), axiom, bound).into(),
-                    fingerprint: config_fingerprint(model.name(), axiom, &cfg),
-                    seq: plans.len(),
-                },
-                axiom,
-                bound,
-                cfg: cfg.clone(),
-            });
-        }
-    }
-    plans
 }
 
 struct Core {

@@ -249,7 +249,7 @@ fn gen_cnf(rng: &mut SplitMix64, vars: usize, max_clauses: usize) -> Vec<Vec<(us
 /// CDCL agrees with brute force on random small CNFs.
 #[test]
 fn solver_matches_brute_force() {
-    use litsynth_sat::{Lit, Solver, Var};
+    use litsynth_sat::{Lit, NoExchange, SolveBudget, Solver, Var};
     let mut rng = SplitMix64::new(0x700C);
     for _ in 0..96 {
         let clauses = gen_cnf(&mut rng, 6, 24);
@@ -263,7 +263,8 @@ fn solver_matches_brute_force() {
         for c in &clauses {
             s.add_clause(c.iter().map(|&(v, pos)| Lit::new(vars[v], pos)));
         }
-        assert_eq!(s.solve().is_sat(), brute, "{clauses:?}");
+        let got = s.solve(&[], &mut NoExchange, &SolveBudget::unlimited());
+        assert_eq!(got.is_sat(), brute, "{clauses:?}");
     }
 }
 
@@ -271,8 +272,9 @@ fn solver_matches_brute_force() {
 #[test]
 fn dimacs_roundtrip_preserves_sat() {
     use litsynth_sat::dimacs::Cnf;
-    use litsynth_sat::{Lit, Var};
+    use litsynth_sat::{Lit, NoExchange, SolveBudget, Var};
     let mut rng = SplitMix64::new(0x700D);
+    let budget = SolveBudget::unlimited();
     for _ in 0..96 {
         let clauses = gen_cnf(&mut rng, 5, 16);
         let mut cnf = Cnf::new();
@@ -281,8 +283,8 @@ fn dimacs_roundtrip_preserves_sat() {
         }
         let text = cnf.to_dimacs();
         let back = Cnf::parse_dimacs(&text).unwrap();
-        let a = cnf.into_solver().solve().is_sat();
-        let b = back.into_solver().solve().is_sat();
+        let a = cnf.into_solver().solve(&[], &mut NoExchange, &budget);
+        let b = back.into_solver().solve(&[], &mut NoExchange, &budget);
         assert_eq!(a, b, "{clauses:?}");
     }
 }
