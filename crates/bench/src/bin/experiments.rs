@@ -257,8 +257,9 @@ fn json_f64(text: &str, key: &str) -> Option<f64> {
 /// The perf acceptance experiment: the TSO union over bounds `2..=bound`,
 /// seven ways —
 ///
-/// 1. **baseline** — monolithic per-query compilation, vault off, 1 thread
-///    (every query re-runs the Tseitin transform from scratch);
+/// 1. **baseline** — monolithic per-query compilation, 1 thread (every
+///    query re-runs the Tseitin transform from scratch, and with no shared
+///    chain there is nothing to vault);
 /// 2. **eager** — layered sweep compilation plus the cross-query clause
 ///    vault, 1 thread, with every definitional layer watcher-attached up
 ///    front (PR 4's behavior — the propagation-tax control);
@@ -295,7 +296,6 @@ fn speedup(bound: usize, threads: usize) {
 
     struct Knobs {
         incremental: bool,
-        vault: bool,
         lazy: bool,
         shelve: bool,
         domain: bool,
@@ -312,7 +312,6 @@ fn speedup(bound: usize, threads: usize) {
                 c.threads = k.threads;
                 c.cube_bits = k.cube_bits;
                 c.incremental = k.incremental;
-                c.vault = k.vault;
                 c.lazy = k.lazy;
                 c.shelve = k.shelve;
                 c.domain = k.domain;
@@ -328,9 +327,8 @@ fn speedup(bound: usize, threads: usize) {
             wall: t0.elapsed(),
         }
     };
-    let modern = |incremental, vault, lazy, shelve, domain, threads, cube_bits| Knobs {
+    let modern = |incremental, lazy, shelve, domain, threads, cube_bits| Knobs {
         incremental,
-        vault,
         lazy,
         shelve,
         domain,
@@ -339,22 +337,22 @@ fn speedup(bound: usize, threads: usize) {
         threads,
         cube_bits,
     };
-    let baseline = run("baseline", modern(false, false, false, true, false, 1, 0));
-    let eager = run("eager", modern(true, true, false, true, false, 1, 0));
-    let incremental = run("incremental", modern(true, true, true, true, true, 1, 0));
-    let noshelve = run("lazy-noshelve", modern(true, true, true, false, true, 1, 0));
-    let nodomain = run("lazy-nodomain", modern(true, true, true, true, false, 1, 0));
+    let baseline = run("baseline", modern(false, false, true, false, 1, 0));
+    let eager = run("eager", modern(true, false, true, false, 1, 0));
+    let incremental = run("incremental", modern(true, true, true, true, 1, 0));
+    let noshelve = run("lazy-noshelve", modern(true, true, false, true, 1, 0));
+    let nodomain = run("lazy-nodomain", modern(true, true, true, false, 1, 0));
     let legacy_db = run(
         "legacy-db",
         Knobs {
             inprocess: false,
             tiered: false,
-            ..modern(true, true, true, true, true, 1, 0)
+            ..modern(true, true, true, true, 1, 0)
         },
     );
     let portfolio = run(
         "portfolio",
-        modern(true, true, true, true, true, threads, cube_bits),
+        modern(true, true, true, true, threads, cube_bits),
     );
     let phases = [
         &baseline,
@@ -750,7 +748,7 @@ fn serve(bound: usize, clients: usize) {
          \"warm_compilations\": {},\n  \"cache_hits\": {},\n  \
          \"cache_misses\": {},\n  \"cache_hit_rate\": {hit_rate:.4},\n  \
          \"shard\": {{\"claimed_local\": {}, \"stolen\": {}, \"reassigned\": {}, \
-         \"respawns\": {}}},\n  \"engage_downgrades\": {}\n}}\n",
+         \"respawns\": {}}}\n}}\n",
         cold.reply.tests,
         cold.reply.compilations,
         warm.reply.compilations,
@@ -760,7 +758,6 @@ fn serve(bound: usize, clients: usize) {
         stats.shard.stolen,
         stats.shard.reassigned,
         stats.shard.respawns,
-        litsynth_core::engage_downgrades(),
     );
     let path = std::path::Path::new("BENCH_synth.json");
     match litsynth_core::atomic_write(path, json.as_bytes()) {

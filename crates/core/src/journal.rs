@@ -651,14 +651,9 @@ mod tests {
         cfg.adaptive_cubes = false;
         cfg.probe_conflicts = 9;
         cfg.incremental = false;
-        cfg.vault = false;
         cfg.lazy = false;
         cfg.shelve = false;
         cfg.domain = false;
-        cfg.max_attempts = 7;
-        cfg.retry_backoff_ms = 99;
-        cfg.adaptive_engage = false;
-        cfg.engage_below = 99;
         cfg.progress = Some(crate::symbolic::ProgressSink::new(|_| {}));
         assert_eq!(config_fingerprint("TSO", "sc_per_loc", &cfg), fp);
     }

@@ -110,14 +110,11 @@ pub struct SynthConfig {
     /// Compile sweeps incrementally: one circuit arena per sweep, the
     /// axiom-independent skeleton Tseitin-encoded exactly once per bound as
     /// a chain of shared CNF layers, and each (axiom, bound) query derived
-    /// as a one-layer extension. Off, every query recompiles from scratch.
-    /// Suites are byte-identical either way.
+    /// as a one-layer extension. A shared sweep also reuses skeleton-pure
+    /// learnt clauses across its queries through the portfolio clause
+    /// vault. Off, every query recompiles from scratch and nothing is
+    /// vaulted. Suites are byte-identical either way.
     pub incremental: bool,
-    /// Reuse skeleton-pure learnt clauses across the queries of a sweep
-    /// through the portfolio clause vault (requires [`SynthConfig::incremental`]
-    /// to have any effect — the vault keys on skeleton-layer fingerprints).
-    /// Imports only prune search; suites are byte-identical either way.
-    pub vault: bool,
     /// Attach enumeration workers to sweep-shared compilations lazily:
     /// definitional CNF layers (one per axiom on the incremental chain)
     /// stay dormant — no watchers, no propagation — until the worker's
@@ -150,37 +147,6 @@ pub struct SynthConfig {
     /// legacy single-activity reduction. Retention only discards learnt
     /// clauses; suites are byte-identical either way.
     pub tiered: bool,
-    /// Total attempts per cube worker (including the first) before the
-    /// query is marked degraded instead of aborting the run.
-    pub max_attempts: usize,
-    /// Backoff before retry `k` of a cube is `retry_backoff_ms << (k-1)`
-    /// milliseconds.
-    pub retry_backoff_ms: u64,
-    /// Conflict budget per SAT solve during enumeration (`0` = unlimited).
-    /// Escalates ×4 per retry attempt, so a deterministic budget
-    /// exhaustion is not retried into the identical wall.
-    pub solve_conflicts: u64,
-    /// Propagation budget per SAT solve (`0` = unlimited); escalates like
-    /// [`SynthConfig::solve_conflicts`].
-    pub solve_propagations: u64,
-    /// Wall-clock budget for one cube attempt, in milliseconds
-    /// (`0` = unlimited). Unlike [`SynthConfig::time_budget_ms`] — which
-    /// *truncates* the suite at a clean instance boundary — exceeding this
-    /// budget interrupts the solve and triggers the retry/degrade ladder.
-    pub solve_wall_ms: u64,
-    /// Engage the per-query portfolio machinery (cube splitting, and with
-    /// it the exchange bus and the cube-selection probe) adaptively by
-    /// problem size: below [`SynthConfig::engage_below`] events the query
-    /// auto-downgrades to the unsplit incremental path — at small bounds
-    /// the machinery's overhead loses outright (0.58× measured), and the
-    /// suite is byte-identical either way. The downgrade is counted
-    /// process-wide (`crate::synth::engage_downgrades`), so which path ran
-    /// is always provable.
-    pub adaptive_engage: bool,
-    /// Queries with fewer events than this downgrade when
-    /// [`SynthConfig::adaptive_engage`] is on. The default (3) downgrades
-    /// exactly the bound-2 queries, where the portfolio never pays off.
-    pub engage_below: usize,
     /// Re-verify every synthesized test with the polynomial consistency
     /// checker (`litsynth_models::check`) after the suite is assembled:
     /// each emitted (test, outcome) must be forbidden under its axiom's
@@ -219,19 +185,11 @@ impl SynthConfig {
             adaptive_cubes: true,
             probe_conflicts: 500,
             incremental: true,
-            vault: true,
             lazy: true,
             shelve: true,
             domain: true,
             inprocess: true,
             tiered: true,
-            max_attempts: 3,
-            retry_backoff_ms: 10,
-            solve_conflicts: 0,
-            solve_propagations: 0,
-            solve_wall_ms: 0,
-            adaptive_engage: true,
-            engage_below: 3,
             cross_check: false,
             progress: None,
             fault_plan: litsynth_sat::FaultPlan::global(),
@@ -239,24 +197,11 @@ impl SynthConfig {
         }
     }
 
-    /// Enables or disables the adaptive engagement heuristic (builder
-    /// style).
-    pub fn with_adaptive_engage(mut self, engage: bool) -> SynthConfig {
-        self.adaptive_engage = engage;
-        self
-    }
-
     /// Enables or disables the post-synthesis consistency cross-check
     /// (builder style). Read-only defense in depth: suites and fingerprints
     /// are identical either way.
     pub fn with_cross_check(mut self, cross_check: bool) -> SynthConfig {
         self.cross_check = cross_check;
-        self
-    }
-
-    /// Sets the adaptive-engagement size threshold (builder style).
-    pub fn with_engage_below(mut self, events: usize) -> SynthConfig {
-        self.engage_below = events;
         self
     }
 
@@ -293,12 +238,6 @@ impl SynthConfig {
     /// Enables or disables incremental sweep compilation (builder style).
     pub fn with_incremental(mut self, incremental: bool) -> SynthConfig {
         self.incremental = incremental;
-        self
-    }
-
-    /// Enables or disables the cross-query clause vault (builder style).
-    pub fn with_vault(mut self, vault: bool) -> SynthConfig {
-        self.vault = vault;
         self
     }
 

@@ -359,8 +359,8 @@ impl Finder {
     /// in [`litsynth_sat::ClauseExchange`]).
     ///
     /// `Ok(Some(inst))` is the next instance, `Ok(None)` means the query is
-    /// exhausted, and `Err(interrupt)` means `budget`, a deadline,
-    /// cancellation, or an injected fault stopped the solve first. On
+    /// exhausted, and `Err(interrupt)` means `budget`'s conflict limit or
+    /// an injected fault stopped the solve first. On
     /// `Err` the finder stays warm (blocking clauses, learnt clauses and
     /// VSIDS activities are kept), so the call can be retried with a
     /// larger budget, or the activities read back with
@@ -579,24 +579,37 @@ pub(crate) mod tests {
 
     #[test]
     fn interrupted_enumeration_resumes_without_losing_instances() {
-        // An expired deadline interrupts before any search; retrying with
-        // no budget must then enumerate exactly the clean-run instances.
+        // An interrupt injected at restart 0 stops the solve before any
+        // search; retrying with no budget must then enumerate exactly the
+        // clean-run instances.
         let mut c = Circuit::new();
         let x = c.input("x");
         let y = c.input("y");
         let root = c.or(x, y);
-        let expired = SolveBudget {
-            deadline: Some(std::time::Instant::now()),
+        let plan = litsynth_sat::FaultPlan::parse("q@*@*@0@interrupt").expect("plan parses");
+        let interrupting = SolveBudget {
+            fault: Some(litsynth_sat::FaultCtx {
+                plan: std::sync::Arc::new(plan),
+                query: "q".into(),
+                cube: 0,
+                attempt: 0,
+            }),
             ..SolveBudget::default()
         };
         let mut f = Finder::new(&c);
         let mut n = 0;
         let mut interrupts = 0;
         loop {
-            // First try under the expired deadline: always interrupted.
-            match f.next_instance_budgeted_assuming(&c, &[root], &[], &mut NoExchange, &expired) {
-                Err(Interrupt::Deadline) => interrupts += 1,
-                other => panic!("expected deadline interrupt, got {other:?}"),
+            // First try under the injected interrupt: always interrupted.
+            match f.next_instance_budgeted_assuming(
+                &c,
+                &[root],
+                &[],
+                &mut NoExchange,
+                &interrupting,
+            ) {
+                Err(Interrupt::Injected) => interrupts += 1,
+                other => panic!("expected an injected interrupt, got {other:?}"),
             }
             // Retry without a budget: the finder stayed warm.
             match next(&mut f, &c, &[root]) {

@@ -37,13 +37,11 @@
 //! is a short probing run whose VSIDS activities ([`Solver::activity`])
 //! drive adaptive cube selection in `litsynth-portfolio`.
 //!
-//! For resilience, the budget also bounds a solve by propagations and wall
-//! clock, honors a shared [`CancelToken`], and yields
-//! [`BudgetedResult::Interrupted`] instead of looping forever; a
-//! [`FaultPlan`] (normally armed via the `LITSYNTH_FAULT_PLAN` environment
-//! variable) injects panics, interrupts, and stalls at deterministic
-//! (query, cube, attempt, restart) coordinates so every recovery path can
-//! be exercised in tests.
+//! For resilience testing, the budget also carries a [`FaultPlan`]
+//! (normally armed via the `LITSYNTH_FAULT_PLAN` environment variable)
+//! that injects panics, interrupts, and stalls at deterministic (query,
+//! cube, attempt, restart) coordinates, so every recovery path can be
+//! exercised; an interrupted solve yields [`BudgetedResult::Interrupted`].
 //!
 //! # Example
 //!
@@ -71,7 +69,7 @@ mod types;
 
 pub mod dimacs;
 
-pub use budget::{BudgetedResult, CancelToken, Interrupt, SolveBudget};
+pub use budget::{BudgetedResult, Interrupt, SolveBudget};
 pub use exchange::{ClauseExchange, NoExchange};
 pub use fault::{FaultAction, FaultCtx, FaultPlan, FaultPlanError, FaultSite};
 pub use shared::{CnfBuilder, CnfLayer, GateDef, SharedCnf};

@@ -19,13 +19,11 @@ impl Solver {
     /// [`NoExchange`](crate::NoExchange) to solve alone. See
     /// [`ClauseExchange`] for the soundness contract.
     ///
-    /// **Budget.** Conflict and propagation limits, a wall-clock deadline,
-    /// and a cooperative [`CancelToken`](crate::CancelToken) are all
+    /// **Budget.** The conflict limit and the fault-injection plan are
     /// checked at restart boundaries, so a budgeted solve costs nothing
-    /// extra per propagation and stops within one restart of its deadline;
-    /// [`SolveBudget::unlimited`] never interrupts. The conflict limit is
-    /// honored exactly (restart budgets are clamped to the remainder); the
-    /// other limits can overshoot by at most one restart's worth of work.
+    /// extra per propagation; [`SolveBudget::unlimited`] never interrupts.
+    /// The conflict limit is honored exactly (restart budgets are clamped
+    /// to the remainder).
     /// On [`BudgetedResult::Interrupted`] the solver state (learnt clauses,
     /// VSIDS activities, phases) stays warm and clauses learnt so far are
     /// still exported, so the call can be repeated with a larger budget —
@@ -64,7 +62,6 @@ impl Solver {
             return BudgetedResult::Done(SolveResult::Unsat);
         }
         let start_conflicts = self.stats.conflicts;
-        let start_propagations = self.stats.propagations;
         self.export_fresh(exchange);
         self.import_pending(exchange);
         if !self.ok {
@@ -80,8 +77,7 @@ impl Solver {
         let mut restart = 0u64;
         loop {
             let spent_conflicts = self.stats.conflicts - start_conflicts;
-            let spent_propagations = self.stats.propagations - start_propagations;
-            if let Some(i) = budget.exceeded(spent_conflicts, spent_propagations) {
+            if let Some(i) = budget.exceeded(spent_conflicts) {
                 self.cancel_until(0);
                 self.export_fresh(exchange);
                 return BudgetedResult::Interrupted(i);

@@ -252,45 +252,6 @@ fn conflict_budget_is_honored_exactly() {
 }
 
 #[test]
-fn deadline_stops_within_one_restart() {
-    let mut s = Solver::attach_shared(hard_pigeonhole());
-    let budget = SolveBudget {
-        deadline: Some(std::time::Instant::now()),
-        ..SolveBudget::default()
-    };
-    let r = s.solve(&[], &mut NoExchange, &budget);
-    assert_eq!(r, BudgetedResult::Interrupted(Interrupt::Deadline));
-    // An already-expired deadline trips at the first restart boundary,
-    // before any search: zero conflicts spent.
-    assert_eq!(s.stats().conflicts, 0);
-}
-
-#[test]
-fn cancel_token_interrupts_from_outside() {
-    use crate::budget::CancelToken;
-    let token = CancelToken::new();
-    token.cancel();
-    let mut s = Solver::attach_shared(hard_pigeonhole());
-    let budget = SolveBudget {
-        cancel: Some(token),
-        ..SolveBudget::default()
-    };
-    let r = s.solve(&[], &mut NoExchange, &budget);
-    assert_eq!(r, BudgetedResult::Interrupted(Interrupt::Cancelled));
-}
-
-#[test]
-fn propagation_budget_interrupts() {
-    let mut s = Solver::attach_shared(hard_pigeonhole());
-    let budget = SolveBudget {
-        max_propagations: 1,
-        ..SolveBudget::default()
-    };
-    let r = s.solve(&[], &mut NoExchange, &budget);
-    assert_eq!(r, BudgetedResult::Interrupted(Interrupt::Propagations));
-}
-
-#[test]
 fn injected_faults_fire_at_restart_coordinates() {
     use crate::fault::{FaultCtx, FaultPlan};
     let cnf = hard_pigeonhole();

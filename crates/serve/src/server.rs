@@ -352,7 +352,7 @@ fn stats_body(shared: &Shared) -> String {
         "queries={}\ncoalesced={}\ncompilations={}\nsolver_retries={}\n\
          cache_hits={}\ncache_misses={}\ncache_evictions={}\ncache_entries={}\n\
          cache_bytes={}\nshard_claimed_local={}\nshard_stolen={}\nshard_reassigned={}\n\
-         shard_respawns={}\nshard_heartbeats={}\nengage_downgrades={}\n\
+         shard_respawns={}\nshard_heartbeats={}\n\
          remote_workers_connected={}\nremote_workers_live={}\nremote_units={}\n\
          remote_completed={}\nremote_reclaimed_leases={}\nremote_lease_expiries={}\n\
          remote_nacks={}\nremote_rejected_results={}\nremote_duplicate_unitdone={}\n\
@@ -372,7 +372,6 @@ fn stats_body(shared: &Shared) -> String {
         s.shard.reassigned,
         s.shard.respawns,
         s.shard.heartbeats,
-        litsynth_core::engage_downgrades(),
         s.remote.workers_connected,
         s.remote.workers_live,
         s.remote.units_remote,
