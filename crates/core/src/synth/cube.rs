@@ -310,7 +310,6 @@ fn enumerate_cube<M: MemoryModel>(model: &M, task: &Task, attempt: usize) -> Att
         Some(i) => Attempt::Interrupted {
             reason: format!("{head}: {i}"),
             partial: Some(run),
-            retry: true,
         },
     }
 }

@@ -46,9 +46,6 @@ pub enum Attempt<R> {
         reason: String,
         /// Best-effort partial result, used if no later attempt completes.
         partial: Option<R>,
-        /// `false` suppresses further attempts (e.g. cooperative
-        /// cancellation: retrying a cancelled task is pointless).
-        retry: bool,
     },
 }
 
@@ -119,22 +116,10 @@ where
                         failures,
                     };
                 }
-                Ok(Attempt::Interrupted {
-                    reason,
-                    partial: p,
-                    retry: retry_again,
-                }) => {
+                Ok(Attempt::Interrupted { reason, partial: p }) => {
                     failures.push(reason);
                     if p.is_some() {
                         partial = p;
-                    }
-                    if !retry_again {
-                        return TaskReport {
-                            result: partial,
-                            degraded: true,
-                            attempts: attempt + 1,
-                            failures,
-                        };
                     }
                 }
                 Err(payload) => {
@@ -198,7 +183,6 @@ mod tests {
         let reports = run_resilient(&[()], 1, &retry, |_, _, attempt| Attempt::Interrupted {
             reason: format!("attempt {attempt} interrupted"),
             partial: Some(attempt),
-            retry: true,
         });
         assert!(reports[0].degraded);
         assert_eq!(reports[0].result, Some(2), "last attempt's partial wins");
@@ -220,26 +204,6 @@ mod tests {
         assert!(reports[0].degraded);
         assert_eq!(reports[0].result, None);
         assert_eq!(reports[0].failures.len(), 2);
-    }
-
-    #[test]
-    fn no_retry_flag_stops_immediately() {
-        let tries = AtomicUsize::new(0);
-        let retry = RetryConfig {
-            max_attempts: 5,
-            backoff_base_ms: 0,
-        };
-        let reports: Vec<TaskReport<i32>> = run_resilient(&[()], 1, &retry, |_, _, _| {
-            tries.fetch_add(1, Ordering::Relaxed);
-            Attempt::Interrupted {
-                reason: "cancelled".to_string(),
-                partial: None,
-                retry: false,
-            }
-        });
-        assert_eq!(tries.load(Ordering::Relaxed), 1);
-        assert!(reports[0].degraded);
-        assert_eq!(reports[0].attempts, 1);
     }
 
     #[test]
