@@ -21,8 +21,10 @@
 //!
 //! Invariants:
 //!
-//! * A `CRef` is always `< 1 << 31`: the solver reserves the high bit for
-//!   references into the shared [`crate::SharedCnf`] arena.
+//! * A `CRef` is always `< 1 << 30`: the solver reserves the two high bits
+//!   for references into the shared [`crate::SharedCnf`] arena and the
+//!   binary tag on their watchers. [`ClauseArena::alloc`] checks it in
+//!   every build.
 //! * Freed blocks are never relocated — the GC walks only live roots
 //!   (watchers, reasons, the solver's clause lists), so a block on the
 //!   free list is unreachable by construction.
@@ -92,8 +94,8 @@ impl ClauseArena {
                 cref
             }
         };
-        debug_assert!(
-            (cref as u64 + total as u64) < (1 << 31),
+        assert!(
+            (cref as u64 + total as u64) < (1 << 30),
             "local clause arena overflow"
         );
         let base = cref as usize;
