@@ -9,7 +9,9 @@
 //!
 //! The solver implements the standard modern architecture:
 //!
-//! * two-watched-literal unit propagation,
+//! * two-watched-literal unit propagation with blocker literals, over
+//!   one value array indexed by literal, with binary clauses of the shared
+//!   arena propagated from their watcher alone (no clause load),
 //! * first-UIP conflict analysis with clause minimization,
 //! * VSIDS variable activity with an indexed max-heap,
 //! * phase saving,

@@ -4,8 +4,9 @@
 //! reference-counted [`CnfLayer`]s. It is built once with a [`CnfBuilder`]
 //! and then attached to any number of solvers via
 //! [`crate::Solver::attach_shared`]; the attached solvers read clause
-//! literals straight out of the (`Arc`'d) layer arenas and keep only their
-//! tiny per-clause watch metadata private. This is what lets a portfolio
+//! literals straight out of the (`Arc`'d) layer arenas — one locator load
+//! per lookup, whatever the chain's length — and keep only their tiny
+//! per-clause watch metadata private. This is what lets a portfolio
 //! of cube workers solve the same compiled query without each
 //! re-translating — or even copying — the clause database.
 //!
@@ -163,6 +164,15 @@ impl CnfLayer {
     }
 }
 
+/// Where flat clause `i` of a chain lives: its layer and its `(start,
+/// len)` inside that layer's `lits`.
+#[derive(Clone, Copy, Debug)]
+struct ClauseLoc {
+    layer: u32,
+    start: u32,
+    len: u32,
+}
+
 /// An immutable shared CNF formula: a chain of [`CnfLayer`]s plus the
 /// flattened indexing a solver needs to address clauses by a single dense
 /// index. Cloning is cheap for the clause data (layers are shared by
@@ -172,6 +182,10 @@ pub struct SharedCnf {
     layers: Vec<Arc<CnfLayer>>,
     /// `clause_start[i]` = number of non-unit clauses in layers `0..i`.
     clause_start: Vec<usize>,
+    /// One [`ClauseLoc`] per flat clause index, built once per chain, so
+    /// a clause lookup (the propagation hot path) is one indexed load
+    /// instead of a search over `clause_start`.
+    locator: Vec<ClauseLoc>,
     num_vars: usize,
     num_clauses: usize,
     num_lits: usize,
@@ -205,27 +219,20 @@ impl SharedCnf {
     /// The literals of clause `i`.
     #[inline]
     pub fn clause(&self, i: usize) -> &[Lit] {
-        let li = self.layer_of(i);
-        let layer = &self.layers[li];
-        let (start, len) = layer.ranges[i - self.clause_start[li]];
-        &layer.lits[start as usize..(start + len) as usize]
+        let loc = self.locator[i];
+        let start = loc.start as usize;
+        &self.layers[loc.layer as usize].lits[start..start + loc.len as usize]
     }
 
     /// Whether clause `i` comes from a skeleton layer.
     pub fn clause_is_skeleton(&self, i: usize) -> bool {
-        self.layers[self.layer_of(i)].skeleton
-    }
-
-    #[inline]
-    fn layer_of(&self, clause: usize) -> usize {
-        debug_assert!(clause < self.num_clauses);
-        self.clause_start.partition_point(|&s| s <= clause) - 1
+        self.layers[self.layer_of_clause(i)].skeleton
     }
 
     /// The index of the layer that owns (non-unit) clause `i`.
     #[inline]
     pub fn layer_of_clause(&self, i: usize) -> usize {
-        self.layer_of(i)
+        self.locator[i].layer as usize
     }
 
     /// The index of the layer that owns variable `v` — layers own
@@ -522,10 +529,19 @@ impl CnfBuilder {
             num_lits += l.lits.len();
             units.extend_from_slice(&l.units);
         }
+        let mut locator = Vec::with_capacity(num_clauses);
+        for (li, l) in layers.iter().enumerate() {
+            locator.extend(l.ranges.iter().map(|&(start, len)| ClauseLoc {
+                layer: li as u32,
+                start,
+                len,
+            }));
+        }
         SharedCnf {
             num_vars: layers.last().map_or(0, |l| l.num_vars),
             layers,
             clause_start,
+            locator,
             num_clauses,
             num_lits,
             units,

@@ -1,6 +1,6 @@
 //! Unit propagation and backtracking.
 
-use super::{Solver, Watcher, SHARED_BIT};
+use super::{Solver, Watcher, BINARY_BIT, SHARED_BIT};
 use crate::types::{LBool, Lit};
 
 impl Solver {
@@ -26,7 +26,8 @@ impl Solver {
                 self.zero_pure[v] = pure;
             }
         }
-        self.assigns[v] = LBool::from_bool(l.is_positive());
+        self.vals[l.code()] = LBool::True;
+        self.vals[(!l).code()] = LBool::False;
         self.level[v] = self.decision_level() as u32;
         self.reason[v] = reason;
         self.trail.push(l);
@@ -45,7 +46,22 @@ impl Solver {
             let mut i = 0;
             while i < ws.len() {
                 let w = ws[i];
-                if self.lit_value(w.blocker) == LBool::True {
+                let blocker = self.lit_value(w.blocker);
+                if blocker == LBool::True {
+                    i += 1;
+                    continue;
+                }
+                if w.cref & BINARY_BIT != 0 {
+                    // Binary shared clause: the blocker is the clause's
+                    // other literal and is not true, so the clause is unit
+                    // or conflicting — no need to load it.
+                    let cref = w.cref & !BINARY_BIT;
+                    if blocker == LBool::False {
+                        self.qhead = self.trail.len();
+                        self.watches[false_lit.code()] = ws;
+                        return Some(cref);
+                    }
+                    self.unchecked_enqueue(w.blocker, Some(cref));
                     i += 1;
                     continue;
                 }
@@ -159,7 +175,8 @@ impl Solver {
             let l = self.trail[i];
             let v = l.var().index();
             self.polarity[v] = l.is_positive();
-            self.assigns[v] = LBool::Undef;
+            self.vals[l.code()] = LBool::Undef;
+            self.vals[(!l).code()] = LBool::Undef;
             self.reason[v] = None;
             self.heap.insert(v, &self.activity);
             // Domain members become decidable locally again (no-op for

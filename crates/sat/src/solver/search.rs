@@ -134,7 +134,7 @@ impl Solver {
         // the `Undef` check when it surfaces.
         if self.domain_active {
             while let Some(v) = self.domain.pop(&self.activity) {
-                if self.assigns[v] == LBool::Undef && self.var_active[v] {
+                if self.is_unassigned(v) && self.var_active[v] {
                     self.stats.domain_decisions += 1;
                     return Some(Var(v as u32));
                 }
@@ -144,7 +144,7 @@ impl Solver {
         // them, so assigning one could never propagate or conflict — it
         // would only pad the trail. They re-enter the heap on activation.
         while let Some(v) = self.heap.pop_max(&self.activity) {
-            if self.assigns[v] == LBool::Undef && self.var_active[v] {
+            if self.is_unassigned(v) && self.var_active[v] {
                 return Some(Var(v as u32));
             }
         }
@@ -286,7 +286,7 @@ impl Solver {
                 }
                 match self.pick_branch_var() {
                     None => {
-                        self.model = self.assigns.clone();
+                        self.model = self.vals.clone();
                         return Some(SolveResult::Sat);
                     }
                     Some(v) => {

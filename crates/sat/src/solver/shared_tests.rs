@@ -57,6 +57,11 @@ fn enumerate(
 
 #[test]
 fn attached_solver_matches_brute_force() {
+    // Random formulas split over 1–4 layers (so clause lookups cross layer
+    // boundaries), with binary clauses common enough to drive the binary
+    // watcher path on SAT and UNSAT formulas alike. Each formula is
+    // attached eagerly and lazily and enumerated to exhaustion; with no
+    // definitional layer both must search identically.
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut next = move || {
         state = state
@@ -64,45 +69,60 @@ fn attached_solver_matches_brute_force() {
             .wrapping_add(1442695040888963407);
         (state >> 33) as u32
     };
+    let (mut sat_rounds, mut unsat_rounds) = (0, 0);
     for round in 0..200 {
         let n_vars = 3 + (next() % 6) as usize;
         let n_clauses = 2 + (next() % 20) as usize;
         let mut clauses: Vec<Vec<(usize, bool)>> = Vec::new();
         for _ in 0..n_clauses {
-            let len = 1 + (next() % 3) as usize;
+            let len = if next() % 3 == 0 {
+                2
+            } else {
+                1 + (next() % 3) as usize
+            };
             let mut c = Vec::new();
             for _ in 0..len {
                 c.push(((next() as usize) % n_vars, next() % 2 == 0));
             }
             clauses.push(c);
         }
-        let mut brute_sat = false;
-        'outer: for m in 0..(1u32 << n_vars) {
-            for c in &clauses {
-                if !c.iter().any(|&(v, pos)| ((m >> v) & 1 == 1) == pos) {
-                    continue 'outer;
-                }
-            }
-            brute_sat = true;
-            break;
+        let mut brute: Vec<Vec<bool>> = (0..1u32 << n_vars)
+            .filter(|m| {
+                clauses
+                    .iter()
+                    .all(|c| c.iter().any(|&(v, pos)| ((m >> v) & 1 == 1) == pos))
+            })
+            .map(|m| (0..n_vars).map(|v| (m >> v) & 1 == 1).collect())
+            .collect();
+        brute.sort();
+        if brute.is_empty() {
+            unsat_rounds += 1;
+        } else {
+            sat_rounds += 1;
         }
+        let n_layers = 1 + (next() % 4) as usize;
         let mut b = CnfBuilder::new();
         let vs: Vec<Var> = (0..n_vars).map(|_| b.new_var()).collect();
-        for c in &clauses {
-            b.add_clause(c.iter().map(|&(v, pos)| Lit::new(vs[v], pos)));
-        }
-        let mut s = Solver::attach_shared(std::sync::Arc::new(b.build()));
-        let got = run(&mut s).is_sat();
-        assert_eq!(got, brute_sat, "round {round}: clauses {clauses:?}");
-        if got {
-            for c in &clauses {
-                assert!(
-                    c.iter().any(|&(v, pos)| s.value(vs[v]).unwrap() == pos),
-                    "model does not satisfy {c:?}"
-                );
+        for li in 0..n_layers {
+            let (lo, hi) = (li * n_clauses / n_layers, (li + 1) * n_clauses / n_layers);
+            for c in &clauses[lo..hi] {
+                b.add_clause(c.iter().map(|&(v, pos)| Lit::new(vs[v], pos)));
+            }
+            if li + 1 < n_layers {
+                b = CnfBuilder::extending(&b.build());
             }
         }
+        let cnf = std::sync::Arc::new(b.build());
+        assert_eq!(cnf.num_layers(), n_layers);
+        let mut eager = Solver::attach_shared(cnf.clone());
+        let mut lazy = Solver::attach_shared_lazy(cnf);
+        let me = enumerate(&mut eager, &vs, &[], &mut NoExchange);
+        let ml = enumerate(&mut lazy, &vs, &[], &mut NoExchange);
+        assert_eq!(me, brute, "round {round}: clauses {clauses:?}");
+        assert_eq!(ml, brute, "round {round}: clauses {clauses:?}");
+        assert_eq!(eager.stats(), lazy.stats(), "round {round}");
     }
+    assert!(sat_rounds > 0 && unsat_rounds > 0);
 }
 
 #[test]
@@ -743,6 +763,29 @@ fn simplify_purges_clauses_satisfied_at_level_zero() {
     assert!(run(&mut off).is_sat());
     assert_eq!(off.stats().simplify_removed, 0);
     assert_eq!(off.num_clauses(), 1);
+    // Attached: shared clauses stay in the arena, but a local unit that
+    // satisfies them makes the next solve drop this solver's watchers on
+    // both — the tagged binary clause's and the ternary clause's.
+    let mut b = CnfBuilder::new();
+    let x = b.new_var();
+    let y = b.new_var();
+    let z = b.new_var();
+    b.add_clause([Lit::pos(x), Lit::pos(y)]);
+    b.add_clause([Lit::pos(x), Lit::pos(y), Lit::pos(z)]);
+    let mut s = Solver::attach_shared(std::sync::Arc::new(b.build()));
+    s.add_clause([Lit::pos(x)]);
+    assert!(run(&mut s).is_sat());
+    assert_eq!(s.stats().simplify_removed, 2);
+    assert!(s.watches.iter().all(Vec::is_empty));
+    assert_eq!(
+        run_with(&mut s, &[Lit::neg(y), Lit::neg(z)], &mut NoExchange),
+        SolveResult::Sat
+    );
+    assert_eq!(s.value(x), Some(true));
+    assert_eq!(
+        run_with(&mut s, &[Lit::neg(x)], &mut NoExchange),
+        SolveResult::Unsat
+    );
 }
 
 #[test]

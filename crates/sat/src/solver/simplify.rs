@@ -1,6 +1,6 @@
 //! Level-0 inprocessing: satisfied-clause purging and subsumption.
 
-use super::{Solver, Watcher, SHARED_BIT};
+use super::{Solver, Watcher, BINARY_BIT, SHARED_BIT};
 use crate::types::{LBool, Lit};
 
 impl Solver {
@@ -94,7 +94,7 @@ impl Solver {
                 if w.cref & SHARED_BIT == 0 {
                     return true;
                 }
-                let cl = shared.clause((w.cref & !SHARED_BIT) as usize);
+                let cl = shared.clause((w.cref & !(SHARED_BIT | BINARY_BIT)) as usize);
                 let sat = cl.iter().any(|&l| self.lit_value(l) == LBool::True);
                 if sat {
                     dropped += 1;
@@ -152,7 +152,7 @@ impl Solver {
         // batch. Entries go stale as the pass deletes and strengthens;
         // `is_deleted` and the literal re-check below make stale entries
         // harmless.
-        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); self.assigns.len()];
+        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); self.num_vars()];
         for &c in &queue {
             if self.ca.is_deleted(c) {
                 continue;
@@ -162,7 +162,7 @@ impl Solver {
             }
         }
         // Literal stamps for the O(|C| + |D|) subset test.
-        let mut stamp: Vec<u64> = vec![0; 2 * self.assigns.len()];
+        let mut stamp: Vec<u64> = vec![0; 2 * self.num_vars()];
         let mut gen: u64 = 0;
         for &c in &queue {
             if !self.ok {

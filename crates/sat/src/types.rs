@@ -113,28 +113,6 @@ pub(crate) enum LBool {
     Undef,
 }
 
-impl LBool {
-    #[inline]
-    pub(crate) fn from_bool(b: bool) -> LBool {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
-    }
-
-    /// The value of a literal given the value of its variable.
-    #[inline]
-    pub(crate) fn under_sign(self, positive: bool) -> LBool {
-        match (self, positive) {
-            (LBool::Undef, _) => LBool::Undef,
-            (v, true) => v,
-            (LBool::True, false) => LBool::False,
-            (LBool::False, false) => LBool::True,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,14 +134,6 @@ mod tests {
         let v = Var::from_index(3);
         assert_eq!(Lit::new(v, true), Lit::pos(v));
         assert_eq!(Lit::new(v, false), Lit::neg(v));
-    }
-
-    #[test]
-    fn lbool_under_sign() {
-        assert_eq!(LBool::True.under_sign(false), LBool::False);
-        assert_eq!(LBool::False.under_sign(false), LBool::True);
-        assert_eq!(LBool::Undef.under_sign(false), LBool::Undef);
-        assert_eq!(LBool::True.under_sign(true), LBool::True);
     }
 
     #[test]
