@@ -393,13 +393,15 @@ fn speedup(bound: usize, threads: usize) {
             "{}: an incremental sweep must compile in full exactly once",
             p.name
         );
+        assert_eq!(
+            p.stats.extensions, num_extensions,
+            "{}: every link after the first must extend the chain",
+            p.name
+        );
         assert!(
-            p.stats.extensions >= num_extensions && p.stats.reused_clauses > 0,
-            "{}: incremental reuse counters must be nonzero \
-             (extensions {}, reused {})",
-            p.name,
-            p.stats.extensions,
-            p.stats.reused_clauses
+            p.stats.reused_clauses > 0,
+            "{}: extensions must reuse clauses",
+            p.name
         );
     }
 
@@ -728,14 +730,11 @@ fn serve(bound: usize, clients: usize) {
     let stats = server.stats();
     let hit_rate = stats.cache.hits as f64 / (stats.cache.hits + stats.cache.misses).max(1) as f64;
     println!(
-        "cache: {} hits, {} misses ({:.1}% hit rate) | shard: {} local, {} stolen, \
-         {} respawns",
+        "cache: {} hits, {} misses ({:.1}% hit rate) | shard: {} retried",
         stats.cache.hits,
         stats.cache.misses,
         hit_rate * 100.0,
-        stats.shard.claimed_local,
-        stats.shard.stolen,
-        stats.shard.respawns,
+        stats.shard.retried,
     );
     server.shutdown();
 
@@ -747,17 +746,13 @@ fn serve(bound: usize, clients: usize) {
          \"byte_identical\": true,\n  \"cold_compilations\": {},\n  \
          \"warm_compilations\": {},\n  \"cache_hits\": {},\n  \
          \"cache_misses\": {},\n  \"cache_hit_rate\": {hit_rate:.4},\n  \
-         \"shard\": {{\"claimed_local\": {}, \"stolen\": {}, \"reassigned\": {}, \
-         \"respawns\": {}}}\n}}\n",
+         \"shard\": {{\"retried\": {}}}\n}}\n",
         cold.reply.tests,
         cold.reply.compilations,
         warm.reply.compilations,
         stats.cache.hits,
         stats.cache.misses,
-        stats.shard.claimed_local,
-        stats.shard.stolen,
-        stats.shard.reassigned,
-        stats.shard.respawns,
+        stats.shard.retried,
     );
     let path = std::path::Path::new("BENCH_synth.json");
     match litsynth_core::atomic_write(path, json.as_bytes()) {

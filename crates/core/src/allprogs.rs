@@ -53,14 +53,6 @@ pub fn count_programs<M: MemoryModel>(model: &M, events: usize, max_addrs: usize
     shape_addr * (1u128 << (events - 1))
 }
 
-/// Like [`count_programs`] but also counting the candidate outcomes each
-/// program admits is intractable in closed form; instead this reports the
-/// program count multiplied by a lower bound of 1 outcome — i.e. it *is*
-/// the program count. Exposed under the figure's name for the harness.
-pub fn all_progs_line<M: MemoryModel>(model: &M, events: usize, max_addrs: usize) -> u128 {
-    count_programs(model, events, max_addrs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

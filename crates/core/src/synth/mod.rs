@@ -77,12 +77,11 @@ use crate::symbolic::SynthConfig;
 use cube::run_tasks;
 use litsynth_litmus::{LitmusTest, Outcome};
 use litsynth_models::MemoryModel;
-use litsynth_portfolio::{ClauseVault, VaultStats};
+use litsynth_portfolio::VaultStats;
 pub use merge::merge_unit_suites;
 use merge::{cross_check_suite, emit_progress, journal_hit_result, merge_query, record_if_clean};
 use plan::{plan, static_axiom, Plan};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A deduplicated suite: canonical key → (test, outcome).
@@ -226,11 +225,6 @@ impl SynthResult {
         self.tests.is_empty()
     }
 
-    /// The tests, in canonical-key order.
-    pub fn into_tests(self) -> Vec<(LitmusTest, Outcome)> {
-        self.tests.into_values().collect()
-    }
-
     /// A result that merely *carries* `tests` with every work counter
     /// zero — the shape of a journal replay or of a remotely computed unit
     /// folded in by a coordinator (the solver work happened elsewhere).
@@ -245,17 +239,19 @@ impl SynthResult {
 /// The one driver path: plans `axioms` at every bound of `cfgs`, runs
 /// every task on one worker pool, merges each query's cubes, and finishes
 /// each query (cross-check, journal, progress). Returns the per-query
-/// results in merge order and the sweep vault, if the plan shared one.
+/// results in merge order and the sweep's shared-chain counters (chain
+/// reuse and vault; every per-query sum is left at zero).
 fn synthesize<M: MemoryModel + Sync>(
     model: &M,
     cfgs: &[SynthConfig],
     axioms: &[&'static str],
     share: bool,
-) -> (Vec<(&'static str, SynthResult)>, Option<Arc<ClauseVault>>) {
+) -> (Vec<(&'static str, SynthResult)>, SweepStats) {
     let Plan {
         queries,
         tasks,
         vault,
+        reuse,
     } = plan(model, cfgs, axioms, share);
     let threads = cfgs.iter().map(|c| c.threads).max().unwrap_or(1);
     let mut runs = run_tasks(model, &tasks, threads).into_iter();
@@ -273,7 +269,13 @@ fn synthesize<M: MemoryModel + Sync>(
             (q.axiom, r)
         })
         .collect();
-    (results, vault)
+    let stats = SweepStats {
+        extensions: reuse.extensions,
+        reused_clauses: reuse.reused_clauses,
+        vault: vault.map(|v| v.stats()).unwrap_or_default(),
+        ..SweepStats::default()
+    };
+    (results, stats)
 }
 
 /// Synthesizes the suite for one axiom of `model` at the bound in `cfg`:
@@ -314,14 +316,13 @@ pub struct SweepStats {
     /// (the shared skeleton's compile, claimed by whichever query arrives
     /// first), one per query monolithically; journal hits charge 0.
     pub compilations: u64,
-    /// Incremental layer extensions performed while the sweep ran: the
-    /// skeleton-chain links after the first, plus one per derived query.
-    /// A process-global delta of [`litsynth_relalg::incremental_extensions`]
-    /// — exact when no other synthesis runs concurrently in the process.
+    /// Incremental layer extensions of the sweep's shared chain: every
+    /// link after the first (per participating bound, a skeleton link and
+    /// one definitional link per axiom). Counted where the chain is built,
+    /// so exact whatever else runs in the process.
     pub extensions: u64,
-    /// Already-encoded clauses reused by those extensions instead of being
-    /// re-encoded (delta of [`litsynth_relalg::reused_clauses`], same
-    /// caveat).
+    /// Already-encoded clauses (units included) those extensions inherited
+    /// from their base instead of re-encoding, summed over extensions.
     pub reused_clauses: u64,
     /// Cross-query clause-vault counters (all zero when no bound shares
     /// a chain).
@@ -385,12 +386,9 @@ pub fn synthesize_union_up_to_with_stats<M: MemoryModel + Sync>(
     mk_cfg: impl Fn(usize) -> SynthConfig,
 ) -> (CanonicalSuite, SweepStats) {
     let cfgs: Vec<SynthConfig> = bounds.map(mk_cfg).collect();
-    let extensions0 = litsynth_relalg::incremental_extensions();
-    let reused0 = litsynth_relalg::reused_clauses();
     // Later bounds' chains contain the earlier bounds' chains as
     // prefixes, so clauses vaulted at bound n seed bound n+1 too.
-    let (results, vault) = synthesize(model, &cfgs, model.axioms(), true);
-    let mut stats = SweepStats::default();
+    let (results, mut stats) = synthesize(model, &cfgs, model.axioms(), true);
     for (_, r) in &results {
         stats.compilations += r.compilations as u64;
         stats.raw_instances += r.raw_instances as u64;
@@ -408,11 +406,6 @@ pub fn synthesize_union_up_to_with_stats<M: MemoryModel + Sync>(
         stats.strengthened += r.strengthened;
         stats.gc_runs += r.gc_runs;
         stats.gc_reclaimed_words += r.gc_reclaimed_words;
-    }
-    stats.extensions = litsynth_relalg::incremental_extensions() - extensions0;
-    stats.reused_clauses = litsynth_relalg::reused_clauses() - reused0;
-    if let Some(v) = &vault {
-        stats.vault = v.stats();
     }
     // Bound-then-axiom order, first wins: the sequential loop's merge.
     let union = merge_unit_suites(results.iter().map(|(_, r)| &r.tests));

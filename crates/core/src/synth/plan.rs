@@ -135,11 +135,27 @@ pub(super) struct BoundShare {
     pub(super) pool: Mutex<Vec<Finder>>,
 }
 
+/// What a sweep's layer chain reused: one extension per link after the
+/// first, each inheriting every clause (units included) of its base.
+#[derive(Clone, Copy, Debug, Default)]
+pub(super) struct ChainReuse {
+    pub(super) extensions: u64,
+    pub(super) reused_clauses: u64,
+}
+
+impl ChainReuse {
+    fn extending(&mut self, base: &CompiledCircuit) {
+        self.extensions += 1;
+        self.reused_clauses += base.num_clauses() as u64;
+    }
+}
+
 /// Prebuilds the [`BoundShare`]s of an incremental sweep, sequentially, on
-/// the caller's thread. `specs` pairs each bound's config with whether the
-/// bound participates (it asked for incremental compilation and has tasks
-/// left after journal planning); non-participants get `None` and their
-/// tasks fall back to the monolithic per-query [`build_query`] path.
+/// the caller's thread, and counts what their chain reused. `specs` pairs
+/// each bound's config with whether the bound participates (it asked for
+/// incremental compilation and has tasks left after journal planning);
+/// non-participants get `None` and their tasks fall back to the
+/// monolithic per-query [`build_query`] path.
 ///
 /// All participating bounds share **one** hash-consed circuit arena (so a
 /// sub-structure two bounds have in common is one node, encoded once) and
@@ -151,8 +167,9 @@ pub(super) struct BoundShare {
 fn sweep_shares<M: MemoryModel>(
     model: &M,
     specs: &[(&SynthConfig, bool)],
-) -> Vec<Option<Arc<BoundShare>>> {
+) -> (Vec<Option<Arc<BoundShare>>>, ChainReuse) {
     let mut alg = SymAlg::new();
+    let mut reuse = ChainReuse::default();
     let mut chain: Option<Arc<CompiledCircuit>> = None;
     let mut built = Vec::with_capacity(specs.len());
     for &(cfg, participates) in specs {
@@ -176,7 +193,10 @@ fn sweep_shares<M: MemoryModel>(
             .collect();
         let skeleton = match &chain {
             None => CompiledCircuit::compile_tagged(&alg.circuit, roots, true),
-            Some(prev) => CompiledCircuit::extend(prev, &alg.circuit, roots, true),
+            Some(prev) => {
+                reuse.extending(prev);
+                CompiledCircuit::extend(prev, &alg.circuit, roots, true)
+            }
         };
         // Chain every axiom's minimality-circuit *definitions* onto the
         // shared chain as its own definitional layer, tagged shared like
@@ -192,6 +212,7 @@ fn sweep_shares<M: MemoryModel>(
         // watchers only when the query's own assumptions reach it.
         let mut link = skeleton;
         for ax_asserts in &asserts {
+            reuse.extending(&link);
             link = CompiledCircuit::extend_definitional(
                 &link,
                 &alg.circuit,
@@ -205,7 +226,7 @@ fn sweep_shares<M: MemoryModel>(
     }
     let circuit = Arc::new(alg.into_circuit());
     let mut first = true;
-    built
+    let shares = built
         .into_iter()
         .map(|slot| {
             slot.map(|(st, compiled, asserts, candidates)| {
@@ -222,7 +243,8 @@ fn sweep_shares<M: MemoryModel>(
                 share
             })
         })
-        .collect()
+        .collect();
+    (shares, reuse)
 }
 
 /// Derives one query from its bound's prebuilt share. The bound's one
@@ -331,11 +353,12 @@ pub(super) struct PlannedQuery {
 }
 
 /// Every query a driver runs, their cube tasks in the same order, and the
-/// sweep vault when the plan shares a chain.
+/// sweep vault and chain reuse when the plan shares a chain.
 pub(super) struct Plan {
     pub(super) queries: Vec<PlannedQuery>,
     pub(super) tasks: Vec<Task>,
     pub(super) vault: Option<Arc<ClauseVault>>,
+    pub(super) reuse: ChainReuse,
 }
 
 /// Plans `axioms` (in model order) at every bound of `cfgs`, bounds
@@ -378,10 +401,10 @@ pub(super) fn plan<M: MemoryModel>(
         .map(|(cfg, &work)| (cfg, share && cfg.incremental && work))
         .collect();
     // A plan that shares nothing (every `run_unit`) builds no arena.
-    let shares = if specs.iter().any(|&(_, joins)| joins) {
+    let (shares, reuse) = if specs.iter().any(|&(_, joins)| joins) {
         sweep_shares(model, &specs)
     } else {
-        vec![None; cfgs.len()]
+        (vec![None; cfgs.len()], ChainReuse::default())
     };
     let vault = shares
         .iter()
@@ -413,5 +436,6 @@ pub(super) fn plan<M: MemoryModel>(
         queries,
         tasks,
         vault,
+        reuse,
     }
 }

@@ -10,7 +10,7 @@ use litsynth_models::{Power, Sc, Tso};
 use litsynth_portfolio::RetryConfig;
 use litsynth_relalg::{Bit, CompiledCircuit};
 use litsynth_sat::SolverStats;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 #[test]
@@ -257,17 +257,17 @@ fn one_compilation_per_query_and_counters_surface() {
     // whole union — the shared skeleton's — claimed by exactly one
     // query; the bound's definition layers extend that chain and all
     // queries share the result, contributing only assumption roots.
-    let extensions_before = litsynth_relalg::incremental_extensions();
-    let cfg = SynthConfig::new(3).with_threads(4).with_cube_bits(2);
-    let (p, _) = synthesize_union(&m, &cfg);
+    let (_, stats) = synthesize_union_up_to_with_stats(&m, 3..=3, |n| {
+        SynthConfig::new(n).with_threads(4).with_cube_bits(2)
+    });
     assert_eq!(
-        p.values().map(|r| r.compilations).sum::<usize>(),
-        1,
+        stats.compilations, 1,
         "an incremental sweep compiles in full exactly once"
     );
-    assert!(
-        litsynth_relalg::incremental_extensions() > extensions_before,
-        "the definition layers must extend the skeleton chain"
+    assert_eq!(
+        stats.extensions,
+        m.axioms().len() as u64,
+        "one definitional link per axiom extends the skeleton"
     );
 }
 
@@ -542,12 +542,11 @@ fn incremental_sweep_compiles_once_and_reuses_the_skeleton() {
     assert_eq!(s_inc.compilations, 1, "one full compile per sweep");
     // Two participating bounds → one definitional link per axiom on
     // the first and a skeleton link plus one definitional link per
-    // axiom on the second, i.e. 2·A+1 extensions (the global counter
-    // may only over-count, from tests running concurrently in this
-    // binary).
-    let expected = 2 * m.axioms().len() as u64 + 1;
-    assert!(s_inc.extensions >= expected, "{}", s_inc.extensions);
+    // axiom on the second, i.e. 2·A+1 extensions.
+    assert_eq!(s_inc.extensions, 2 * m.axioms().len() as u64 + 1);
     assert!(s_inc.reused_clauses > 0, "extensions must reuse clauses");
+    assert_eq!(s_mono.extensions, 0);
+    assert_eq!(s_mono.reused_clauses, 0);
     assert_eq!(
         s_mono.compilations as usize,
         2 * m.axioms().len(),

@@ -299,16 +299,6 @@ impl Instr {
         }
     }
 
-    /// Rewrites the scope (used by DS).
-    pub fn with_scope(self, scope: Scope) -> Instr {
-        match self {
-            Instr::Load { addr, order, .. } => Instr::Load { addr, order, scope },
-            Instr::Store { addr, order, .. } => Instr::Store { addr, order, scope },
-            Instr::Rmw { addr, order, .. } => Instr::Rmw { addr, order, scope },
-            Instr::Fence { kind, .. } => Instr::Fence { kind, scope },
-        }
-    }
-
     /// `true` for loads and RMWs.
     pub fn is_read(&self) -> bool {
         matches!(self, Instr::Load { .. } | Instr::Rmw { .. })

@@ -257,11 +257,6 @@ impl SymAlg {
         }
     }
 
-    /// Wraps an existing circuit.
-    pub fn from_circuit(circuit: Circuit) -> SymAlg {
-        SymAlg { circuit }
-    }
-
     /// Consumes the algebra, returning the built circuit.
     pub fn into_circuit(self) -> Circuit {
         self.circuit

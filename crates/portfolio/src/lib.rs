@@ -35,7 +35,9 @@
 //! supervisor: each attempt runs under `catch_unwind`, panicked or
 //! interrupted items are retried with exponential backoff (fresh solver
 //! per attempt, imports off on the last), and items that still fail come
-//! back as [`TaskReport::degraded`] instead of poisoning the pool.
+//! back as [`TaskReport::degraded`] instead of poisoning the pool. The
+//! per-item loop, [`run_attempts`], is public: the serving tier runs each
+//! cold (axiom, bound) unit under it too.
 
 pub mod cube;
 pub mod exchange;
@@ -48,6 +50,6 @@ pub mod vault;
 pub use exchange::{ExchangeBus, ExchangeConfig, ExchangeEndpoint, ExchangeStats};
 pub use pool::{resolve_threads, run_ordered};
 pub use query::{CompiledQuery, CubeConfig};
-pub use resilient::{run_resilient, Attempt, RetryConfig, TaskReport};
-pub use unit::{StealQueue, StealStats, WorkUnit};
+pub use resilient::{run_attempts, run_resilient, Attempt, RetryConfig, TaskReport};
+pub use unit::WorkUnit;
 pub use vault::{ClauseVault, VaultConfig, VaultStats, VaultedExchange};

@@ -1,7 +1,7 @@
 //! Panic isolation and retry-with-backoff for pool workers.
 //!
-//! [`run_resilient`] is [`run_ordered`](crate::pool::run_ordered) with a
-//! supervisor around each item: the work function runs under
+//! [`run_resilient`] is [`run_ordered`] with a supervisor around each
+//! item, [`run_attempts`]: the work function runs under
 //! `catch_unwind`, a panicked or interrupted attempt is retried with
 //! exponential backoff, and after the attempt budget is spent the item is
 //! reported [`TaskReport::degraded`] instead of poisoning the pool or
@@ -17,7 +17,7 @@ use crate::pool::run_ordered;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-/// Retry policy for [`run_resilient`].
+/// Retry policy for [`run_attempts`].
 #[derive(Clone, Copy, Debug)]
 pub struct RetryConfig {
     /// Total attempts per item, including the first (minimum 1).
@@ -81,8 +81,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs `f` over every item on up to `threads` workers (results in item
-/// order, like [`run_ordered`](crate::pool::run_ordered)), isolating each
-/// attempt behind `catch_unwind` and retrying per `retry`.
+/// order, like [`run_ordered`]), each item's attempts through
+/// [`run_attempts`].
 ///
 /// `f` receives `(index, item, attempt)` with `attempt` counting from 0;
 /// it must treat each attempt as a fresh start (new solver state), because
@@ -98,42 +98,55 @@ where
     R: Send,
     F: Fn(usize, &T, usize) -> Attempt<R> + Sync,
 {
-    let max_attempts = retry.max_attempts.max(1);
     run_ordered(items, threads, |i, item| {
-        let mut failures = Vec::new();
-        let mut partial: Option<R> = None;
-        for attempt in 0..max_attempts {
-            if attempt > 0 && retry.backoff_base_ms > 0 {
-                let shift = (attempt - 1).min(16) as u32;
-                std::thread::sleep(Duration::from_millis(retry.backoff_base_ms << shift));
-            }
-            match catch_unwind(AssertUnwindSafe(|| f(i, item, attempt))) {
-                Ok(Attempt::Done(r)) => {
-                    return TaskReport {
-                        result: Some(r),
-                        degraded: false,
-                        attempts: attempt + 1,
-                        failures,
-                    };
-                }
-                Ok(Attempt::Interrupted { reason, partial: p }) => {
-                    failures.push(reason);
-                    if p.is_some() {
-                        partial = p;
-                    }
-                }
-                Err(payload) => {
-                    failures.push(panic_message(payload));
-                }
-            }
-        }
-        TaskReport {
-            result: partial,
-            degraded: true,
-            attempts: max_attempts,
-            failures,
-        }
+        run_attempts(retry, |attempt| f(i, item, attempt))
     })
+}
+
+/// Runs one item's attempts on the calling thread: each attempt under
+/// `catch_unwind`, a panicked or interrupted attempt retried with
+/// exponential backoff, up to `retry.max_attempts` in all.
+///
+/// `f` receives the attempt number, counting from 0, and must treat each
+/// attempt as a fresh start.
+pub fn run_attempts<R>(
+    retry: &RetryConfig,
+    mut f: impl FnMut(usize) -> Attempt<R>,
+) -> TaskReport<R> {
+    let max_attempts = retry.max_attempts.max(1);
+    let mut failures = Vec::new();
+    let mut partial: Option<R> = None;
+    for attempt in 0..max_attempts {
+        if attempt > 0 && retry.backoff_base_ms > 0 {
+            let shift = (attempt - 1).min(16) as u32;
+            std::thread::sleep(Duration::from_millis(retry.backoff_base_ms << shift));
+        }
+        match catch_unwind(AssertUnwindSafe(|| f(attempt))) {
+            Ok(Attempt::Done(r)) => {
+                return TaskReport {
+                    result: Some(r),
+                    degraded: false,
+                    attempts: attempt + 1,
+                    failures,
+                };
+            }
+            Ok(Attempt::Interrupted { reason, partial: p }) => {
+                failures.push(reason);
+                if p.is_some() {
+                    partial = p;
+                }
+            }
+            Err(payload) => {
+                failures.push(panic_message(payload));
+            }
+        }
+    }
+    TaskReport {
+        result: partial,
+        degraded: true,
+        attempts: max_attempts,
+        failures,
+    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Work units and the work-stealing claim queue of the shard layer.
+//! Work units: the independent (axiom, bound) queries of a sweep.
 //!
 //! A [`WorkUnit`] names one (axiom, bound) query of a sweep: its journal
 //! key, its config fingerprint (the network-visible cache key — see
@@ -7,17 +7,8 @@
 //! serving layer pairs each unit with the state needed to run it and
 //! merges results by `seq`, never by completion order, which is what keeps
 //! sharded suites byte-identical to a direct sweep.
-//!
-//! [`StealQueue`] is the claim structure shards pull from: one deque per
-//! shard, local pops from the front, steals from the *back* of the longest
-//! sibling queue (the classic work-stealing shape — thieves take the items
-//! the owner would reach last). Because every unit is claimed exactly once
-//! and the merge is order-indexed, stealing affects only which shard does
-//! the work, never the served bytes.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One claimable (axiom, bound) unit of a sweep.
 #[derive(Clone, Debug)]
@@ -30,167 +21,4 @@ pub struct WorkUnit {
     /// Position in the sweep's deterministic merge order (bound-ascending,
     /// axiom order within a bound).
     pub seq: usize,
-}
-
-/// Counters for one [`StealQueue`], all monotone.
-#[derive(Debug, Default)]
-pub struct StealStats {
-    /// Items pushed, over all shards.
-    pub pushed: AtomicU64,
-    /// Claims served from the claimant's own deque.
-    pub claimed_local: AtomicU64,
-    /// Claims served by stealing from a sibling's deque.
-    pub stolen: AtomicU64,
-}
-
-impl StealStats {
-    /// `(pushed, claimed_local, stolen)` snapshot.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.pushed.load(Ordering::Relaxed),
-            self.claimed_local.load(Ordering::Relaxed),
-            self.stolen.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// A per-shard deque set with work stealing. Push distributes explicitly
-/// (the caller picks the home shard, typically round-robin by `seq`);
-/// [`StealQueue::claim`] serves the claimant's own queue first and steals
-/// from the longest sibling queue when it is empty. Every pushed item is
-/// claimed exactly once.
-#[derive(Debug)]
-pub struct StealQueue<T> {
-    shards: Vec<Mutex<VecDeque<T>>>,
-    stats: StealStats,
-}
-
-impl<T> StealQueue<T> {
-    /// A queue set for `shards` shards (minimum 1).
-    pub fn new(shards: usize) -> StealQueue<T> {
-        StealQueue {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            stats: StealStats::default(),
-        }
-    }
-
-    /// Number of shard deques.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn deque(&self, shard: usize) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-        self.shards[shard % self.shards.len()]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Enqueues `item` on `shard`'s deque (wrapped modulo the shard count).
-    pub fn push(&self, shard: usize, item: T) {
-        self.deque(shard).push_back(item);
-        self.stats.pushed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Claims the next item for `shard`: its own deque front first, else
-    /// the back of the longest sibling deque. Returns the item and whether
-    /// it was stolen; `None` means every deque is (momentarily) empty.
-    pub fn claim(&self, shard: usize) -> Option<(T, bool)> {
-        if let Some(item) = self.deque(shard).pop_front() {
-            self.stats.claimed_local.fetch_add(1, Ordering::Relaxed);
-            return Some((item, false));
-        }
-        // Steal from the currently longest sibling. Length is sampled
-        // without holding every lock at once (no lock-order cycles); a
-        // stale sample only means a suboptimal victim, never a lost item.
-        let me = shard % self.shards.len();
-        let victim = (0..self.shards.len())
-            .filter(|&s| s != me)
-            .map(|s| (self.deque(s).len(), s))
-            .max()
-            .filter(|&(len, _)| len > 0)
-            .map(|(_, s)| s)?;
-        let item = self.deque(victim).pop_back()?;
-        self.stats.stolen.fetch_add(1, Ordering::Relaxed);
-        Some((item, true))
-    }
-
-    /// Total items currently queued, over all shards.
-    pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|s| self.deque(s).len()).sum()
-    }
-
-    /// `true` when every deque is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The queue's counters.
-    pub fn stats(&self) -> &StealStats {
-        &self.stats
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::BTreeSet;
-
-    #[test]
-    fn local_claims_drain_in_push_order() {
-        let q: StealQueue<usize> = StealQueue::new(2);
-        for i in 0..4 {
-            q.push(0, i);
-        }
-        let got: Vec<usize> = std::iter::from_fn(|| q.claim(0).map(|(i, _)| i)).collect();
-        assert_eq!(got, vec![0, 1, 2, 3]);
-        let (pushed, local, stolen) = q.stats().snapshot();
-        assert_eq!((pushed, local, stolen), (4, 4, 0));
-    }
-
-    #[test]
-    fn empty_shard_steals_from_the_longest_sibling() {
-        let q: StealQueue<usize> = StealQueue::new(3);
-        for i in 0..6 {
-            q.push(1, i); // all work lands on shard 1
-        }
-        let (item, stolen) = q.claim(0).expect("steal succeeds");
-        assert!(stolen);
-        assert_eq!(item, 5, "thieves take from the back");
-        let (item, stolen) = q.claim(1).expect("owner claims");
-        assert!(!stolen);
-        assert_eq!(item, 0, "owner takes from the front");
-        assert!(q.stats().snapshot().2 >= 1);
-    }
-
-    #[test]
-    fn concurrent_claims_deliver_every_item_exactly_once() {
-        let q: Arc<StealQueue<usize>> = Arc::new(StealQueue::new(4));
-        let total = 400usize;
-        for i in 0..total {
-            q.push(i % 2, i); // skewed: only shards 0 and 1 are fed
-        }
-        let claimed: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-        std::thread::scope(|scope| {
-            for shard in 0..4 {
-                let q = q.clone();
-                let claimed = claimed.clone();
-                scope.spawn(move || {
-                    while let Some((item, _)) = q.claim(shard) {
-                        claimed.lock().unwrap().push(item);
-                    }
-                });
-            }
-        });
-        let got = claimed.lock().unwrap();
-        assert_eq!(got.len(), total, "every unit claimed exactly once");
-        let distinct: BTreeSet<usize> = got.iter().copied().collect();
-        assert_eq!(distinct.len(), total, "no unit claimed twice");
-        let (pushed, local, stolen) = q.stats().snapshot();
-        assert_eq!(pushed, total as u64);
-        assert_eq!(local + stolen, total as u64);
-        assert!(stolen > 0, "starved shards must steal");
-        assert!(q.is_empty());
-    }
 }

@@ -214,11 +214,6 @@ impl<E: ClauseExchange> VaultedExchange<E> {
     pub fn inner(&self) -> &E {
         &self.inner
     }
-
-    /// The wrapped endpoint, mutably (e.g. to disable its peer imports).
-    pub fn inner_mut(&mut self) -> &mut E {
-        &mut self.inner
-    }
 }
 
 impl<E: ClauseExchange> ClauseExchange for VaultedExchange<E> {

@@ -100,21 +100,8 @@ impl Circuit {
         self.nodes.len()
     }
 
-    /// The debug name of input `idx`.
-    pub fn input_name(&self, idx: usize) -> &str {
-        &self.inputs[idx]
-    }
-
     pub(crate) fn node(&self, i: usize) -> Node {
         self.nodes[i]
-    }
-
-    /// If `bit` is (possibly negated) input `i`, returns `(i, negated)`.
-    pub fn as_input(&self, bit: Bit) -> Option<(usize, bool)> {
-        match self.nodes[bit.node()] {
-            Node::Input(i) => Some((i as usize, bit.is_negated())),
-            _ => None,
-        }
     }
 
     /// Conjunction with constant folding and hash consing.

@@ -54,8 +54,6 @@ mod finder;
 mod matrix;
 
 pub use circuit::{Bit, Circuit};
-pub use compiled::{
-    compilations, incremental_extensions, reused_clauses, thread_compilations, CompiledCircuit,
-};
+pub use compiled::{compilations, thread_compilations, CompiledCircuit};
 pub use finder::{Finder, Instance};
 pub use matrix::{Matrix1, Matrix2};

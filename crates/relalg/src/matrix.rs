@@ -379,19 +379,6 @@ impl Matrix2 {
         self.transpose().domain(c)
     }
 
-    /// Relational join on the right with a set: `self . s` (preimage union).
-    pub fn join_right(&self, c: &mut Circuit, s: &Matrix1) -> Matrix1 {
-        assert_eq!(s.len(), self.cols);
-        let mut bits = Vec::with_capacity(self.rows);
-        for i in 0..self.rows {
-            let terms: Vec<Bit> = (0..self.cols)
-                .map(|j| c.and(self.get(i, j), s.get(j)))
-                .collect();
-            bits.push(c.or_many(terms));
-        }
-        Matrix1::from_bits(bits)
-    }
-
     /// `self ⊆ other` as a bit.
     pub fn is_subset(&self, c: &mut Circuit, other: &Matrix2) -> Bit {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
@@ -452,24 +439,6 @@ impl Matrix2 {
                 let fwd = self.get(i, j);
                 let bwd = self.get(j, i);
                 req.push(c.or(fwd, bwd));
-            }
-        }
-        c.and_many(req)
-    }
-
-    /// Totality restricted to a subset `s`: distinct atoms *within s* must be
-    /// related one way or the other.
-    pub fn is_total_on_set(&self, c: &mut Circuit, s: &Matrix1) -> Bit {
-        assert_eq!(self.rows, self.cols);
-        assert_eq!(s.len(), self.rows);
-        let mut req = Vec::new();
-        for i in 0..self.rows {
-            for j in (i + 1)..self.rows {
-                let both = c.and(s.get(i), s.get(j));
-                let fwd = self.get(i, j);
-                let bwd = self.get(j, i);
-                let either = c.or(fwd, bwd);
-                req.push(c.implies(both, either));
             }
         }
         c.and_many(req)

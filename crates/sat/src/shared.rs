@@ -297,7 +297,7 @@ impl SharedCnf {
     /// root by repeatedly following [`CnfLayer::gate_defs`] through
     /// definitional layers. Variables owned by non-definitional layers are
     /// included but not expanded (they have no defining clauses to chase),
-    /// exactly mirroring the closure [`crate::Solver::activate_vars`]
+    /// exactly mirroring the closure the solver's `activate_vars`
     /// computes when it wakes a cone. The result is deduplicated; its
     /// order is a deterministic function of the root order.
     pub fn cone_vars(&self, roots: impl IntoIterator<Item = Var>) -> Vec<Var> {

@@ -25,7 +25,7 @@ impl Solver {
     /// it — through an assumption, an added (non-imported) clause, or
     /// transitively as an input of another activating gate — at which
     /// point its defining clauses are installed and their consequences
-    /// replayed at level 0 (see [`Solver::activate_vars`] for why that is
+    /// replayed at level 0 (see `Solver::activate_vars` for why that is
     /// sound). Imported clauses over a dormant gate are *shelved* instead
     /// of activating it: imports are redundant (they only prune), so
     /// deferring one is always sound, and activation replays the shelf the

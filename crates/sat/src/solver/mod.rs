@@ -381,11 +381,6 @@ impl Solver {
         }
     }
 
-    /// The value of a literal in the most recent satisfying assignment.
-    pub fn lit_model_value(&self, l: Lit) -> Option<bool> {
-        self.value(l.var()).map(|b| b == l.is_positive())
-    }
-
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------

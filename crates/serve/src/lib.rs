@@ -9,8 +9,9 @@
 //! * [`cache`] — the warm tier: a byte-capped LRU keyed by
 //!   [`cache::suite_fingerprint`], an FNV fold over the query's
 //!   (key, [`litsynth_core::config_fingerprint`]) unit list.
-//! * [`shard`] — the cold path: (axiom, bound) units fanned over a
-//!   work-stealing, crash-supervised shard pool and merged in seq order.
+//! * [`shard`] — the cold path: (axiom, bound) units claimed from one
+//!   shared counter by spawned shard threads, each unit run under the
+//!   portfolio's retry loop, and merged in seq order.
 //! * [`remote`] — the multi-host tier: units leased to remote workers
 //!   under deadlines, reclaimed on expiry, validated on return, and
 //!   degraded to local compute when the fleet thins out.
@@ -21,7 +22,7 @@
 //!   object-safe, so names are matched to concrete types).
 //!
 //! The load-bearing invariant is **byte identity**: whatever the cache
-//! state, shard count, steal pattern, or crash timing, a served suite is
+//! state, shard count, claim order, or crash timing, a served suite is
 //! byte-for-byte the suite a direct
 //! [`litsynth_core::synthesize_union_up_to`] call returns. Warm queries
 //! additionally do *zero* solver work — the loopback tests assert both,

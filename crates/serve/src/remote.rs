@@ -19,14 +19,15 @@
 //! fingerprint *and* an FNV content checksum, and a query completes only
 //! when every unit has a recorded outcome. Lost units are re-queued
 //! under a per-unit attempt budget; when the budget is exhausted or no
-//! live worker remains, the unit **degrades to the local shard pool**
-//! (counted, never silent) — so the served suite is byte-identical to
-//! the direct sweep at any mix of remote, local, and killed workers, and
-//! a partial suite is never returned.
+//! live worker remains, the unit **degrades to local compute** (counted,
+//! never silent): the query's own thread runs it under the shard layer's
+//! per-unit retry policy — so the served suite is byte-identical to the
+//! direct sweep at any mix of remote, local, and killed workers, and a
+//! partial suite is never returned.
 
 use crate::protocol::{open_body, read_frame, write_frame, Nack, UnitAssign, UnitDone};
-use crate::shard::ShardConfig;
-use litsynth_core::{decode_unit_result, run_unit, ProgressEvent, SynthResult, UnitPlan};
+use crate::shard::run_unit_retrying;
+use litsynth_core::{decode_unit_result, ProgressEvent, SynthResult, UnitPlan};
 use litsynth_models::MemoryModel;
 use std::collections::VecDeque;
 use std::io::{self, BufReader};
@@ -64,7 +65,7 @@ pub struct RemoteStats {
     /// `UNITDONE` frames ignored as duplicate or stale (grant no longer
     /// live — the unit already completed or was reclaimed).
     pub duplicate_unitdone: u64,
-    /// Units routed to the local shard pool after remote attempts were
+    /// Units routed to local compute after remote attempts were
     /// exhausted or no live worker remained.
     pub degraded_to_local: u64,
 }
@@ -97,7 +98,7 @@ struct PoolState {
 
 /// The coordinator's registry of remote workers plus the global queue of
 /// units awaiting remote dispatch. One per server; shared by every
-/// query's [`run_batch`] and every worker connection's [`serve_worker`].
+/// query's batch and every worker connection's dispatcher.
 pub struct RemotePool {
     /// Lease deadline handed to workers, in milliseconds.
     pub lease_ms: u64,
@@ -326,7 +327,7 @@ impl Batch {
     }
 }
 
-/// Per-query counters for one [`run_batch`] call.
+/// Per-query counters for one remote batch.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BatchStats {
     /// Units completed by remote workers.
@@ -345,7 +346,6 @@ pub(crate) fn run_batch<M: MemoryModel + Sync>(
     model: &M,
     request_model: &str,
     plans: &[UnitPlan],
-    shard_cfg: &ShardConfig,
     pool: &Arc<RemotePool>,
 ) -> Result<(Vec<SynthResult>, BatchStats), String> {
     let total = plans.len();
@@ -402,13 +402,18 @@ pub(crate) fn run_batch<M: MemoryModel + Sync>(
         }
     }
     // This thread is the local fallback executor: it drains the batch's
-    // degraded queue while worker connections serve the rest, and it
-    // guards against the last worker dying with units still queued.
+    // degraded queue, one retried unit at a time, while worker
+    // connections serve the rest, and it guards against the last worker
+    // dying with units still queued.
     let mut st = lock(&batch.state);
     while st.completed < total {
         if let Some(idx) = st.local_queue.pop() {
             drop(st);
-            batch.record_local(idx, local_attempts(model, &plans[idx], shard_cfg));
+            let plan = &plans[idx];
+            let outcome = run_unit_retrying(model, plan, None)
+                .result
+                .ok_or_else(|| plan.unit.key.to_string());
+            batch.record_local(idx, outcome);
             st = lock(&batch.state);
             continue;
         }
@@ -442,22 +447,6 @@ pub(crate) fn run_batch<M: MemoryModel + Sync>(
         .map(|r| r.take().expect("no failures, so every unit completed"))
         .collect();
     Ok((results, stats))
-}
-
-/// Runs one unit locally under the shard layer's crash budget. A panic
-/// counts as one attempt; exhausting the budget fails the unit by key.
-fn local_attempts<M: MemoryModel + Sync>(
-    model: &M,
-    plan: &UnitPlan,
-    shard_cfg: &ShardConfig,
-) -> Result<SynthResult, String> {
-    for _ in 0..shard_cfg.max_unit_attempts.max(1) {
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_unit(model, plan)));
-        if let Ok(r) = run {
-            return Ok(r);
-        }
-    }
-    Err(plan.unit.key.to_string())
 }
 
 /// What ended one unit's lease on a worker connection.

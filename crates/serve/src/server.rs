@@ -8,10 +8,12 @@
 //! 2. **Journal** (on-disk, size-capped, [`litsynth_core::Journal`]) —
 //!    after a restart the cache is cold but every journaled unit replays
 //!    with zero compilations; the rebuilt body is re-cached.
-//! 3. **Shard layer** ([`run_sharded`]) — genuinely cold units are
-//!    synthesized under the resilient portfolio runner, streaming one
-//!    `PROGRESS` frame per completed unit, and merged in seq order so
-//!    the served suite is byte-identical to a direct
+//! 3. **Shard layer** ([`crate::shard`]) — genuinely cold units are
+//!    claimed from one shared counter by spawned shard threads (or
+//!    leased to remote workers, [`crate::remote`]), each run under the
+//!    portfolio's retry loop, streaming one `PROGRESS` frame per
+//!    completed unit, and merged in seq order so the served suite is
+//!    byte-identical to a direct
 //!    [`litsynth_core::synthesize_union_up_to`] call.
 //!
 //! Identical concurrent cold queries coalesce: one connection computes,
@@ -61,14 +63,12 @@ pub struct ServeConfig {
     pub journal_cap_bytes: Option<u64>,
     /// Largest `max_bound` a request may ask for.
     pub max_bound: usize,
-    /// Crash-retries per unit in the shard layer.
-    pub max_unit_attempts: usize,
     /// Deadline lease handed to remote workers, in milliseconds: a
     /// leased unit with no result, `NACK`, or renewal inside this window
     /// is reclaimed and re-queued.
     pub lease_ms: u64,
-    /// Remote dispatch attempts per unit before it degrades to the local
-    /// shard pool.
+    /// Remote dispatch attempts per unit before it degrades to local
+    /// compute.
     pub remote_attempts: usize,
     /// Idle deadline per client connection, in milliseconds: a
     /// connection with no frame (a `PING` counts) inside this window is
@@ -91,7 +91,6 @@ impl Default for ServeConfig {
             journal_dir: None,
             journal_cap_bytes: None,
             max_bound: 5,
-            max_unit_attempts: 3,
             lease_ms: 10_000,
             remote_attempts: 3,
             idle_timeout_ms: 600_000,
@@ -107,11 +106,7 @@ struct Counters {
     coalesced: AtomicU64,
     compilations: AtomicU64,
     solver_retries: AtomicU64,
-    shard_claimed_local: AtomicU64,
-    shard_stolen: AtomicU64,
-    shard_reassigned: AtomicU64,
-    shard_respawns: AtomicU64,
-    shard_heartbeats: AtomicU64,
+    shard_retried: AtomicU64,
     idle_reaped: AtomicU64,
     check_requests: AtomicU64,
     check_cache_hits: AtomicU64,
@@ -241,12 +236,8 @@ fn stats_of(shared: &Shared) -> ServerStats {
         solver_retries: c.solver_retries.load(Ordering::Relaxed),
         cache: shared.cache.stats(),
         shard: ShardRunStats {
-            claimed_local: c.shard_claimed_local.load(Ordering::Relaxed),
-            stolen: c.shard_stolen.load(Ordering::Relaxed),
-            completed: 0,
-            reassigned: c.shard_reassigned.load(Ordering::Relaxed),
-            respawns: c.shard_respawns.load(Ordering::Relaxed),
-            heartbeats: c.shard_heartbeats.load(Ordering::Relaxed),
+            retried: c.shard_retried.load(Ordering::Relaxed),
+            ..ShardRunStats::default()
         },
         remote: shared.pool.stats(),
         idle_reaped: c.idle_reaped.load(Ordering::Relaxed),
@@ -351,8 +342,7 @@ fn stats_body(shared: &Shared) -> String {
     format!(
         "queries={}\ncoalesced={}\ncompilations={}\nsolver_retries={}\n\
          cache_hits={}\ncache_misses={}\ncache_evictions={}\ncache_entries={}\n\
-         cache_bytes={}\nshard_claimed_local={}\nshard_stolen={}\nshard_reassigned={}\n\
-         shard_respawns={}\nshard_heartbeats={}\n\
+         cache_bytes={}\nshard_retried={}\n\
          remote_workers_connected={}\nremote_workers_live={}\nremote_units={}\n\
          remote_completed={}\nremote_reclaimed_leases={}\nremote_lease_expiries={}\n\
          remote_nacks={}\nremote_rejected_results={}\nremote_duplicate_unitdone={}\n\
@@ -367,11 +357,7 @@ fn stats_body(shared: &Shared) -> String {
         s.cache.evictions,
         s.cache.entries,
         s.cache.bytes,
-        s.shard.claimed_local,
-        s.shard.stolen,
-        s.shard.reassigned,
-        s.shard.respawns,
-        s.shard.heartbeats,
+        s.shard.retried,
         s.remote.workers_connected,
         s.remote.workers_live,
         s.remote.units_remote,
@@ -511,7 +497,7 @@ impl ModelOp for Plan<'_> {
 }
 
 /// Runs a planned cold query through the distributed dispatcher: remote
-/// workers when any are live, the local shard pool otherwise.
+/// workers when any are live, the local shard threads otherwise.
 struct Execute<'a> {
     request_model: &'a str,
     plans: &'a [UnitPlan],
@@ -624,7 +610,6 @@ fn cold_query(
 ) -> Result<QueryReply, String> {
     let shard = ShardConfig {
         shards: shared.cfg.shards,
-        max_unit_attempts: shared.cfg.max_unit_attempts,
         fault: shared.cfg.shard_fault.clone(),
     };
     let (results, stats, _batch) = models::dispatch(
@@ -637,15 +622,7 @@ fn cold_query(
         },
     )??;
     let c = &shared.counters;
-    c.shard_claimed_local
-        .fetch_add(stats.claimed_local, Ordering::Relaxed);
-    c.shard_stolen.fetch_add(stats.stolen, Ordering::Relaxed);
-    c.shard_reassigned
-        .fetch_add(stats.reassigned, Ordering::Relaxed);
-    c.shard_respawns
-        .fetch_add(stats.respawns, Ordering::Relaxed);
-    c.shard_heartbeats
-        .fetch_add(stats.heartbeats, Ordering::Relaxed);
+    c.shard_retried.fetch_add(stats.retried, Ordering::Relaxed);
     let compilations: usize = results.iter().map(|r| r.compilations).sum();
     let retries: u64 = results.iter().map(|r| r.retries).sum();
     let truncated = results.iter().any(|r| r.truncated);

@@ -1,58 +1,51 @@
-//! The work-stealing shard layer: claim, run, steal, crash-recover.
+//! The shard layer: cold-query units run once each on spawned threads.
 //!
 //! A cold query is planned as independent (axiom, bound) units
-//! ([`litsynth_core::UnitPlan`]) and pushed round-robin onto a
-//! [`StealQueue`]. Each shard is one worker thread with the full shard
-//! lifecycle:
+//! ([`litsynth_core::UnitPlan`]). [`run_sharded`] spawns
+//! `min(shards, units)` scoped threads; each takes the next unit index
+//! from one shared counter and runs that unit under the portfolio's
+//! retry loop ([`litsynth_portfolio::run_attempts`] with
+//! [`RetryConfig::default`]), the same per-unit policy the remote tier's
+//! local fallback uses. A panic anywhere in a unit costs that unit one
+//! attempt; cube-level faults are retried inside the unit
+//! ([`litsynth_core::run_unit`] runs the resilient portfolio), so this
+//! layer only adds recovery for a unit whose whole run panicked.
 //!
-//! * **spawn** — one thread per shard slot;
-//! * **heartbeat** — a per-slot counter bumped every scheduling step
-//!   (surfaced in [`ShardRunStats`]);
-//! * **steal** — an idle shard claims from the back of the longest
-//!   sibling deque;
-//! * **retire** — shards exit when every unit has a recorded outcome;
-//! * **crash-recover** — the supervisor polls for dead threads, takes the
-//!   unit the corpse held, re-enqueues it (bounded by
-//!   [`ShardConfig::max_unit_attempts`]), and respawns the slot.
+//! No unit runs on the thread that called [`run_sharded`]: on the server
+//! that thread is the client's connection thread, and running one-unit
+//! queries there raised serve-cold's peak memory by 40% (DESIGN.md §4).
 //!
-//! Determinism: results are recorded by the unit's `seq`, never by
+//! Determinism: results are returned by the unit's `seq`, never by
 //! completion order, and the merge is
-//! [`litsynth_core::merge_unit_suites`] over that fixed order — so shard
-//! count, steal pattern, and crash timing can change *which thread* runs
-//! a unit but never the served bytes. Each unit itself runs the journaled
-//! resilient portfolio path ([`litsynth_core::run_unit`]), so cube-level
-//! faults are retried inside the unit; this layer adds recovery for the
-//! coarser failure of losing a whole shard thread.
+//! [`litsynth_core::merge_unit_suites`] over that fixed order — so the
+//! shard count and retry timing can change *which thread* runs a unit
+//! but never the served bytes.
 
 use litsynth_core::{
     merge_unit_suites, run_unit, CanonicalSuite, SynthConfig, SynthResult, UnitPlan,
 };
 use litsynth_models::MemoryModel;
-use litsynth_portfolio::StealQueue;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
+use litsynth_portfolio::{run_attempts, Attempt, RetryConfig, TaskReport};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Deterministic shard-level fault injection: panic the claiming shard
-/// thread (killing it outright, upstream of every `catch_unwind`) the
-/// first `kills` times a unit with this key is claimed. The cube-level
-/// analogue is `LITSYNTH_FAULT_PLAN` / [`litsynth_sat::FaultPlan`], which
-/// this layer happily runs *underneath* — the two compose.
+/// Deterministic shard-level fault injection: panic the first `kills`
+/// attempts at the unit with this key, inside the attempt, so each kill
+/// costs the unit one retry. The cube-level analogue is
+/// `LITSYNTH_FAULT_PLAN` / [`litsynth_sat::FaultPlan`], which this layer
+/// happily runs *underneath* — the two compose.
 #[derive(Clone, Debug)]
 pub struct ShardFault {
     /// The unit key to kill on, e.g. `tso/causality/3`.
     pub key: String,
-    /// How many claims to kill before letting the unit run.
+    /// How many attempts to kill before letting the unit run.
     pub kills: usize,
 }
 
 /// Shard-layer knobs.
 #[derive(Clone, Debug)]
 pub struct ShardConfig {
-    /// Worker threads (minimum 1).
+    /// Worker threads (minimum 1; never more than the query has units).
     pub shards: usize,
-    /// Crash-retries per unit before the run reports it failed.
-    pub max_unit_attempts: usize,
     /// Injected shard-kill fault, if any (tests only).
     pub fault: Option<ShardFault>,
 }
@@ -61,7 +54,6 @@ impl Default for ShardConfig {
     fn default() -> ShardConfig {
         ShardConfig {
             shards: 2,
-            max_unit_attempts: 3,
             fault: None,
         }
     }
@@ -70,178 +62,114 @@ impl Default for ShardConfig {
 /// Counters for one [`run_sharded`] call.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardRunStats {
-    /// Units claimed from the claimant's own deque.
-    pub claimed_local: u64,
-    /// Units claimed by stealing from a sibling.
+    /// Always 0: units are claimed from one shared counter, so nothing is
+    /// stolen. Kept because the wall-clock benchmark's `serve.shard_stolen`
+    /// trace counter reads it.
     pub stolen: u64,
     /// Units with a recorded result.
     pub completed: u64,
-    /// Units re-enqueued after their shard thread died.
-    pub reassigned: u64,
-    /// Shard threads respawned after a crash.
-    pub respawns: u64,
-    /// Scheduling steps over all shard threads (liveness signal).
-    pub heartbeats: u64,
+    /// Unit attempts retried after a panic.
+    pub retried: u64,
 }
 
-struct Core {
-    results: Vec<Option<SynthResult>>,
-    completed: usize,
-    crash_retries: Vec<usize>,
-    failed: Vec<String>,
+/// A [`ShardFault`] armed for one run: the kills it has left.
+pub(crate) struct ArmedFault<'a> {
+    key: &'a str,
+    left: AtomicUsize,
 }
 
-struct Shared<'a, M> {
-    model: &'a M,
-    plans: &'a [UnitPlan],
-    queue: StealQueue<usize>,
-    core: Mutex<Core>,
-    current: Vec<Mutex<Option<usize>>>,
-    heartbeats: Vec<AtomicU64>,
-    fault_key: Option<String>,
-    kills_left: AtomicUsize,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// One shard thread: heartbeat, claim (stealing when local work is dry),
-/// run, record by seq, retire when everything is accounted for.
-fn shard_loop<M: MemoryModel + Sync>(sh: &Shared<'_, M>, slot: usize) {
-    let total = sh.plans.len();
-    loop {
-        sh.heartbeats[slot].fetch_add(1, Ordering::Relaxed);
-        if lock(&sh.core).completed >= total {
-            return; // retire
+impl ArmedFault<'_> {
+    fn arm(fault: &ShardFault) -> ArmedFault<'_> {
+        ArmedFault {
+            key: &fault.key,
+            left: AtomicUsize::new(fault.kills),
         }
-        let Some((idx, _stolen)) = sh.queue.claim(slot) else {
-            // Everything is claimed but not yet recorded (in flight on a
-            // sibling, or awaiting crash reassignment): stay alive.
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        };
-        // Publish what this thread holds *before* running it, so the
-        // supervisor can recover the unit if the thread dies mid-run.
-        *lock(&sh.current[slot]) = Some(idx);
-        let plan = &sh.plans[idx];
-        if sh.fault_key.as_deref() == Some(&*plan.unit.key)
-            && sh
-                .kills_left
+    }
+
+    fn fire(&self, key: &str) {
+        if self.key == key
+            && self
+                .left
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |k| k.checked_sub(1))
                 .is_ok()
         {
-            panic!(
-                "injected shard fault: killing worker holding {}",
-                plan.unit.key
-            );
+            panic!("injected shard fault: killing the attempt at {key}");
         }
-        let r = run_unit(sh.model, plan);
-        let mut core = lock(&sh.core);
-        if core.results[idx].is_none() {
-            core.results[idx] = Some(r);
-            core.completed += 1;
-        }
-        drop(core);
-        *lock(&sh.current[slot]) = None;
     }
 }
 
-/// Runs every planned unit across a crash-supervised work-stealing shard
-/// pool and returns the per-unit results **in seq order** plus the run's
-/// counters. `Err` lists the units that exhausted their crash budget —
-/// partial suites are never returned, because a silently missing unit
-/// would break the byte-identity contract.
+/// Runs one unit under the portfolio's retry policy
+/// ([`RetryConfig::default`]): every attempt is a fresh [`run_unit`]
+/// behind `catch_unwind`. The report's `result` is `None` when every
+/// attempt panicked.
+pub(crate) fn run_unit_retrying<M: MemoryModel + Sync>(
+    model: &M,
+    plan: &UnitPlan,
+    fault: Option<&ArmedFault<'_>>,
+) -> TaskReport<SynthResult> {
+    run_attempts(&RetryConfig::default(), |_| {
+        if let Some(fault) = fault {
+            fault.fire(&plan.unit.key);
+        }
+        Attempt::Done(run_unit(model, plan))
+    })
+}
+
+/// Runs every planned unit once on `min(shards, units)` spawned threads
+/// and returns the per-unit results **in seq order** plus the run's
+/// counters. `Err` names every unit whose attempts all failed — partial
+/// suites are never returned, because a silently missing unit would
+/// break the byte-identity contract.
 pub fn run_sharded<M: MemoryModel + Sync>(
     model: &M,
     plans: &[UnitPlan],
     cfg: &ShardConfig,
 ) -> Result<(Vec<SynthResult>, ShardRunStats), String> {
-    let total = plans.len();
-    let mut stats = ShardRunStats::default();
-    if total == 0 {
-        return Ok((Vec::new(), stats));
-    }
-    let shards = cfg.shards.max(1);
-    let sh = Shared {
-        model,
-        plans,
-        queue: StealQueue::new(shards),
-        core: Mutex::new(Core {
-            results: plans.iter().map(|_| None).collect(),
-            completed: 0,
-            crash_retries: vec![0; total],
-            failed: Vec::new(),
-        }),
-        current: (0..shards).map(|_| Mutex::new(None)).collect(),
-        heartbeats: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-        fault_key: cfg.fault.as_ref().map(|f| f.key.clone()),
-        kills_left: AtomicUsize::new(cfg.fault.as_ref().map_or(0, |f| f.kills)),
-    };
-    for i in 0..total {
-        sh.queue.push(i % shards, i);
-    }
-    let sh = &sh;
-    let (reassigned, respawns) = (AtomicU64::new(0), AtomicU64::new(0));
+    let next = AtomicUsize::new(0);
+    let fault = cfg.fault.as_ref().map(ArmedFault::arm);
+    let mut reports: Vec<Option<TaskReport<SynthResult>>> = plans.iter().map(|_| None).collect();
     std::thread::scope(|scope| {
-        let mut handles: Vec<Option<std::thread::ScopedJoinHandle<'_, ()>>> = (0..shards)
-            .map(|slot| Some(scope.spawn(move || shard_loop(sh, slot))))
-            .collect();
-        while lock(&sh.core).completed < total {
-            for (slot, entry) in handles.iter_mut().enumerate() {
-                if !matches!(entry, Some(h) if h.is_finished()) {
-                    continue;
-                }
-                let handle = entry.take().expect("matched Some above");
-                if handle.join().is_ok() {
-                    continue; // normal retirement (another slot finished the tail)
-                }
-                // The thread died. Whatever it held goes back on the
-                // queue — unless this unit has crashed too many times,
-                // in which case the run fails loudly.
-                if let Some(idx) = lock(&sh.current[slot]).take() {
-                    let mut core = lock(&sh.core);
-                    if core.results[idx].is_none() {
-                        core.crash_retries[idx] += 1;
-                        if core.crash_retries[idx] > cfg.max_unit_attempts {
-                            core.failed.push(sh.plans[idx].unit.key.to_string());
-                            core.completed += 1;
-                        } else {
-                            drop(core);
-                            sh.queue.push(slot, idx);
-                            reassigned.fetch_add(1, Ordering::Relaxed);
-                        }
+        let claimers: Vec<_> = (0..cfg.shards.max(1).min(plans.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut ran = Vec::new();
+                    loop {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(plan) = plans.get(idx) else {
+                            return ran;
+                        };
+                        ran.push((idx, run_unit_retrying(model, plan, fault.as_ref())));
                     }
-                }
-                *entry = Some(scope.spawn(move || shard_loop(sh, slot)));
-                respawns.fetch_add(1, Ordering::Relaxed);
+                })
+            })
+            .collect();
+        for claimer in claimers {
+            let ran = claimer
+                .join()
+                .expect("every attempt runs under catch_unwind");
+            for (idx, report) in ran {
+                reports[idx] = Some(report);
             }
-            std::thread::sleep(Duration::from_millis(1));
         }
     });
-    let core = lock(&sh.core).failed.clone();
-    if !core.is_empty() {
+    let mut stats = ShardRunStats::default();
+    let mut results = Vec::with_capacity(plans.len());
+    let mut failed = Vec::new();
+    for (plan, report) in plans.iter().zip(reports) {
+        let report = report.expect("the claim counter hands out every unit");
+        stats.retried += report.retries();
+        match report.result {
+            Some(r) => results.push(r),
+            None => failed.push(plan.unit.key.to_string()),
+        }
+    }
+    if !failed.is_empty() {
         return Err(format!(
             "units failed after exhausting their crash budget: {}",
-            core.join(", ")
+            failed.join(", ")
         ));
     }
-    let (_, claimed_local, stolen) = sh.queue.stats().snapshot();
-    stats.claimed_local = claimed_local;
-    stats.stolen = stolen;
-    stats.completed = total as u64;
-    stats.reassigned = reassigned.load(Ordering::Relaxed);
-    stats.respawns = respawns.load(Ordering::Relaxed);
-    stats.heartbeats = sh
-        .heartbeats
-        .iter()
-        .map(|h| h.load(Ordering::Relaxed))
-        .sum();
-    let results = lock(&sh.core)
-        .results
-        .iter_mut()
-        .map(|r| r.take().expect("no failures, so every unit completed"))
-        .collect();
+    stats.completed = results.len() as u64;
     Ok((results, stats))
 }
 
@@ -261,8 +189,7 @@ pub fn run_distributed<M: MemoryModel + Sync>(
 ) -> Result<(Vec<SynthResult>, ShardRunStats, crate::remote::BatchStats), String> {
     match pool {
         Some(pool) if pool.live() > 0 => {
-            let (results, batch) =
-                crate::remote::run_batch(model, request_model, plans, cfg, pool)?;
+            let (results, batch) = crate::remote::run_batch(model, request_model, plans, pool)?;
             Ok((results, ShardRunStats::default(), batch))
         }
         _ => {
@@ -289,14 +216,17 @@ pub fn sharded_union<M: MemoryModel + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use litsynth_core::{encode_suite_body, synthesize_union_up_to};
+    use litsynth_core::{encode_suite_body, plan_query, synthesize_union_up_to, ProgressSink};
     use litsynth_models::Tso;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn sharded_union_is_byte_identical_to_the_direct_sweep() {
         let m = Tso::new();
         let direct = encode_suite_body(&synthesize_union_up_to(&m, 2..=3, SynthConfig::new));
-        for shards in [1, 3] {
+        // 16 shards is more than the query's units: only as many threads
+        // as units are spawned.
+        for shards in [1, 3, 16] {
             let cfg = ShardConfig {
                 shards,
                 ..ShardConfig::default()
@@ -305,18 +235,34 @@ mod tests {
                 sharded_union(&m, 2..=3, SynthConfig::new, &cfg).expect("run succeeds");
             assert_eq!(direct, encode_suite_body(&suite), "{shards} shards");
             assert_eq!(stats.completed, 2 * m.axioms().len() as u64);
-            assert_eq!(stats.claimed_local + stats.stolen, stats.completed);
-            assert!(stats.heartbeats > 0);
+            assert_eq!(stats.retried, 0, "{shards} shards");
         }
     }
 
     #[test]
-    fn killed_shard_worker_is_respawned_and_its_unit_reserved() {
+    fn no_unit_runs_on_the_calling_thread() {
+        let m = Tso::new();
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let sink = {
+            let ran_on = ran_on.clone();
+            ProgressSink::new(move |_| ran_on.lock().unwrap().push(std::thread::current().id()))
+        };
+        let plans = plan_query(&m, &["sc_per_loc"], 2..=2, |n| {
+            SynthConfig::new(n).with_progress(Some(sink.clone()))
+        });
+        assert_eq!(plans.len(), 1);
+        run_sharded(&m, &plans, &ShardConfig::default()).expect("run succeeds");
+        let ran_on = ran_on.lock().unwrap();
+        assert_eq!(ran_on.len(), 1, "one unit, one progress event");
+        assert_ne!(ran_on[0], std::thread::current().id());
+    }
+
+    #[test]
+    fn killed_unit_attempt_is_retried_and_bytes_are_unchanged() {
         let m = Tso::new();
         let direct = encode_suite_body(&synthesize_union_up_to(&m, 2..=3, SynthConfig::new));
         let cfg = ShardConfig {
             shards: 2,
-            max_unit_attempts: 3,
             fault: Some(ShardFault {
                 key: "tso/causality/3".to_string(),
                 kills: 1,
@@ -329,8 +275,7 @@ mod tests {
             encode_suite_body(&suite),
             "crash must not change bytes"
         );
-        assert!(stats.respawns >= 1, "the dead slot must be respawned");
-        assert!(stats.reassigned >= 1, "the held unit must be re-enqueued");
+        assert_eq!(stats.retried, 1, "the killed attempt is retried once");
     }
 
     #[test]
@@ -338,7 +283,6 @@ mod tests {
         let m = Tso::new();
         let cfg = ShardConfig {
             shards: 2,
-            max_unit_attempts: 2,
             fault: Some(ShardFault {
                 key: "tso/sc_per_loc/2".to_string(),
                 kills: usize::MAX,
