@@ -730,11 +730,10 @@ fn serve(bound: usize, clients: usize) {
     let stats = server.stats();
     let hit_rate = stats.cache.hits as f64 / (stats.cache.hits + stats.cache.misses).max(1) as f64;
     println!(
-        "cache: {} hits, {} misses ({:.1}% hit rate) | shard: {} retried",
+        "cache: {} hits, {} misses ({:.1}% hit rate)",
         stats.cache.hits,
         stats.cache.misses,
         hit_rate * 100.0,
-        stats.shard.retried,
     );
     server.shutdown();
 
@@ -745,14 +744,12 @@ fn serve(bound: usize, clients: usize) {
          \"warm_qps\": {warm_qps:.1},\n  \"suite_tests\": {},\n  \
          \"byte_identical\": true,\n  \"cold_compilations\": {},\n  \
          \"warm_compilations\": {},\n  \"cache_hits\": {},\n  \
-         \"cache_misses\": {},\n  \"cache_hit_rate\": {hit_rate:.4},\n  \
-         \"shard\": {{\"retried\": {}}}\n}}\n",
+         \"cache_misses\": {},\n  \"cache_hit_rate\": {hit_rate:.4}\n}}\n",
         cold.reply.tests,
         cold.reply.compilations,
         warm.reply.compilations,
         stats.cache.hits,
         stats.cache.misses,
-        stats.shard.retried,
     );
     let path = std::path::Path::new("BENCH_synth.json");
     match litsynth_core::atomic_write(path, json.as_bytes()) {

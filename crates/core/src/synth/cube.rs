@@ -6,7 +6,7 @@ use super::{CanonicalSuite, WorkerStats};
 use litsynth_litmus::{canonical_key_hash, TwoTierCanon};
 use litsynth_models::MemoryModel;
 use litsynth_portfolio::{
-    run_resilient, Attempt, ExchangeEndpoint, ExchangeStats, RetryConfig, VaultedExchange,
+    run_resilient, Attempt, ExchangeEndpoint, ExchangeStats, VaultedExchange, MAX_ATTEMPTS,
 };
 use litsynth_relalg::Bit;
 use litsynth_sat::{ClauseExchange, FaultCtx, Interrupt, Lit, SolveBudget, SolverStats};
@@ -54,8 +54,6 @@ pub(super) struct CubeRun {
     /// Compilations charged to this worker (the query's one compilation is
     /// charged to cube 0).
     pub(super) compilations: usize,
-    /// Probe time charged to this worker (cube 0 only, like above).
-    pub(super) probe: Duration,
     /// From the task's first attempt's start to this attempt's end; `None`
     /// when no attempt produced a run.
     pub(super) span: Option<(Instant, Instant)>,
@@ -148,8 +146,7 @@ fn enumerate_cube<M: MemoryModel>(model: &M, task: &Task, attempt: usize) -> Att
         .copied()
         .collect();
     finder.declare_roots(circuit, &root_bits);
-    let max_attempts = RetryConfig::default().max_attempts;
-    let last_attempt = max_attempts > 1 && attempt + 1 >= max_attempts;
+    let last_attempt = attempt + 1 >= MAX_ATTEMPTS;
     let mut endpoint = task.bus.endpoint(task.cube);
     if last_attempt {
         endpoint.disable_imports();
@@ -262,18 +259,12 @@ fn enumerate_cube<M: MemoryModel>(model: &M, task: &Task, attempt: usize) -> Att
     }
     let run = CubeRun {
         tests,
-        // The query-level costs (the one compilation, the probe) are
-        // attributed to cube 0 so that summing workers counts each query
-        // exactly once.
+        // The query's one compilation is attributed to cube 0 so that
+        // summing workers counts each query exactly once.
         compilations: if task.cube == 0 {
             query.compilations
         } else {
             0
-        },
-        probe: if task.cube == 0 {
-            query.query.probe_time()
-        } else {
-            Duration::ZERO
         },
         stats: WorkerStats {
             axiom: task.axiom,
@@ -283,7 +274,6 @@ fn enumerate_cube<M: MemoryModel>(model: &M, task: &Task, attempt: usize) -> Att
             raw_instances: raw,
             cnf_vars,
             cnf_clauses,
-            elapsed: start.elapsed(),
             propagations: after.propagations - before.propagations,
             decisions: after.decisions - before.decisions,
             domain_decisions: after.domain_decisions - before.domain_decisions,
@@ -293,12 +283,10 @@ fn enumerate_cube<M: MemoryModel>(model: &M, task: &Task, attempt: usize) -> Att
             strengthened: after.strengthened - before.strengthened,
             gc_runs: after.gc_runs - before.gc_runs,
             gc_reclaimed_words: after.gc_reclaimed_words - before.gc_reclaimed_words,
-            learnt_tiers: [after.learnts_core, after.learnts_mid, after.learnts_local],
             truncated,
             exported: xs.exported,
             imported: xs.imported,
             filtered: xs.filtered,
-            probe: query.query.probe_time(),
             attempts: 1,
             degraded: false,
             failures: Vec::new(),
@@ -352,7 +340,6 @@ fn placeholder_run(task: &Task) -> CubeRun {
     CubeRun {
         tests: BTreeMap::new(),
         compilations: 0,
-        probe: Duration::ZERO,
         stats: WorkerStats {
             axiom: task.axiom,
             bound: task.cfg.events,
@@ -375,7 +362,7 @@ pub(super) fn run_tasks<M: MemoryModel + Sync>(
     tasks: &[Task],
     threads: usize,
 ) -> Vec<CubeRun> {
-    run_resilient(tasks, threads, &RetryConfig::default(), |_, t, attempt| {
+    run_resilient(tasks, threads, |_, t, attempt| {
         enumerate_cube(model, t, attempt)
     })
     .into_iter()

@@ -70,7 +70,6 @@ pub(super) fn merge_query(runs: Vec<CubeRun>) -> SynthResult {
         r.strengthened += w.strengthened;
         r.gc_runs += w.gc_runs;
         r.gc_reclaimed_words += w.gc_reclaimed_words;
-        r.probe += run.probe;
         r.truncated |= w.truncated;
         r.degraded += w.degraded as usize;
         r.retries += w.attempts.saturating_sub(1) as u64;

@@ -104,8 +104,6 @@ pub struct WorkerStats {
     pub cnf_vars: usize,
     /// CNF clauses in this worker's solver.
     pub cnf_clauses: usize,
-    /// Wall-clock time this worker spent.
-    pub elapsed: Duration,
     /// Unit propagations this worker's solver performed (delta over this
     /// task only — pooled solvers carry history from earlier tasks).
     pub propagations: u64,
@@ -129,10 +127,6 @@ pub struct WorkerStats {
     pub gc_runs: u64,
     /// Arena words reclaimed by those collections (delta).
     pub gc_reclaimed_words: u64,
-    /// Live learnt clauses per retention tier (core/mid/local) when the
-    /// task finished — a snapshot of the (possibly pooled) solver, not a
-    /// delta.
-    pub learnt_tiers: [u64; 3],
     /// `true` if the instance cap or time budget stopped this worker.
     pub truncated: bool,
     /// Learnt clauses this worker published on the exchange bus.
@@ -141,9 +135,6 @@ pub struct WorkerStats {
     pub imported: u64,
     /// Clauses the bus filter (LBD/size/pool cap) dropped for this worker.
     pub filtered: u64,
-    /// Wall-clock time of the query's cube-selection probe (a per-query
-    /// cost, reported on every worker of the query).
-    pub probe: Duration,
     /// Attempts this worker made (1 = first try completed; >1 means
     /// panicked or interrupted attempts were retried).
     pub attempts: usize,
@@ -197,8 +188,6 @@ pub struct SynthResult {
     pub gc_runs: u64,
     /// Arena words reclaimed, summed over workers.
     pub gc_reclaimed_words: u64,
-    /// Total cube-selection probe time, summed over queries.
-    pub probe: Duration,
     /// Workers whose every attempt failed: the suite is complete iff this
     /// is 0 (and `truncated` is false). Degraded queries are never
     /// journaled.

@@ -7,7 +7,7 @@ use crate::perturb::minimality_asserts_opts;
 use crate::symbolic::SymbolicTest;
 use litsynth_litmus::serialize;
 use litsynth_models::{Power, Sc, Tso};
-use litsynth_portfolio::RetryConfig;
+use litsynth_portfolio::MAX_ATTEMPTS;
 use litsynth_relalg::{Bit, CompiledCircuit};
 use litsynth_sat::SolverStats;
 use std::sync::{Arc, Mutex};
@@ -224,18 +224,11 @@ fn exchange_matrix_is_byte_identical() {
 #[test]
 fn one_compilation_per_query_and_counters_surface() {
     let m = Tso::new();
-    let before = litsynth_relalg::compilations();
     let cfg = SynthConfig::new(3)
         .with_threads(4)
         .with_cube_bits(2)
         .with_incremental(false);
     let (p, _) = synthesize_union(&m, &cfg);
-    let compiled = litsynth_relalg::compilations() - before;
-    // The union must have compiled at least one CNF per query. The
-    // process-wide counter can also tick from *other* tests running
-    // concurrently in this binary, so exactness is asserted on the
-    // race-free per-query counters below, not on the global delta.
-    assert!(compiled as usize >= m.axioms().len());
     for (ax, r) in &p {
         // Monolithic mode: exactly one circuit→CNF compilation per
         // (axiom, bound) query, no matter how many cube workers
@@ -799,10 +792,7 @@ fn persistent_panic_degrades_without_poisoning_the_run() {
     let r = synthesize_axiom(&Tso::new(), "sc_per_loc", &cfg);
     assert_eq!(r.degraded, 1);
     assert!(r.workers[0].degraded);
-    assert_eq!(
-        r.workers[0].failures.len(),
-        RetryConfig::default().max_attempts
-    );
+    assert_eq!(r.workers[0].failures.len(), MAX_ATTEMPTS);
     assert!(!r.workers[1].degraded, "cube 1 must be unaffected");
     // And a degraded result is never journaled.
     let (dir, j) = temp_journal("degraded");
@@ -830,8 +820,7 @@ fn injected_interrupt_keeps_partial_work_and_retries_to_the_full_suite() {
     let cfg = SynthConfig::new(2).with_fault_plan(Some(Arc::new(plan)));
     let r = synthesize_axiom(&Tso::new(), "sc_per_loc", &cfg);
     assert!(r.degraded > 0);
-    let max_attempts = RetryConfig::default().max_attempts;
-    assert!(r.workers.iter().all(|w| w.attempts == max_attempts));
+    assert!(r.workers.iter().all(|w| w.attempts == MAX_ATTEMPTS));
 }
 
 #[test]

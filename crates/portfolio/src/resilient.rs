@@ -1,11 +1,10 @@
 //! Panic isolation and retry-with-backoff for pool workers.
 //!
 //! [`run_resilient`] is [`run_ordered`] with a supervisor around each
-//! item, [`run_attempts`]: the work function runs under
-//! `catch_unwind`, a panicked or interrupted attempt is retried with
-//! exponential backoff, and after the attempt budget is spent the item is
-//! reported [`TaskReport::degraded`] instead of poisoning the pool or
-//! aborting the run. The caller decides what an attempt means — typically
+//! item: the work function runs under `catch_unwind`, a panicked or
+//! interrupted attempt is retried with exponential backoff, and after
+//! [`MAX_ATTEMPTS`] the item is reported [`TaskReport::degraded`] instead
+//! of poisoning the pool or aborting the run. The caller decides what an attempt means — typically
 //! a fresh solver per attempt, with exchange imports disabled on the last
 //! one so the final try is maximally independent of peer timing (on a
 //! lazily attached solver that also stops *new* clauses reaching the
@@ -17,23 +16,11 @@ use crate::pool::run_ordered;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-/// Retry policy for [`run_attempts`].
-#[derive(Clone, Copy, Debug)]
-pub struct RetryConfig {
-    /// Total attempts per item, including the first (minimum 1).
-    pub max_attempts: usize,
-    /// Backoff before retry `k` is `backoff_base_ms << (k-1)` milliseconds.
-    pub backoff_base_ms: u64,
-}
+/// Total attempts per item, including the first.
+pub const MAX_ATTEMPTS: usize = 3;
 
-impl Default for RetryConfig {
-    fn default() -> Self {
-        RetryConfig {
-            max_attempts: 3,
-            backoff_base_ms: 10,
-        }
-    }
-}
+/// Backoff before retry `k` is `BACKOFF_BASE_MS << (k-1)` milliseconds.
+const BACKOFF_BASE_MS: u64 = 10;
 
 /// What one attempt at one item produced.
 #[derive(Clone, Debug)]
@@ -63,13 +50,6 @@ pub struct TaskReport<R> {
     pub failures: Vec<String>,
 }
 
-impl<R> TaskReport<R> {
-    /// Retries that happened beyond the first attempt.
-    pub fn retries(&self) -> u64 {
-        (self.attempts.saturating_sub(1)) as u64
-    }
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("panic: {s}")
@@ -81,45 +61,33 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs `f` over every item on up to `threads` workers (results in item
-/// order, like [`run_ordered`]), each item's attempts through
-/// [`run_attempts`].
+/// order, like [`run_ordered`]), each item's attempts on its worker's
+/// thread.
 ///
 /// `f` receives `(index, item, attempt)` with `attempt` counting from 0;
 /// it must treat each attempt as a fresh start (new solver state), because
 /// a panic can leave anything the previous attempt touched behind.
-pub fn run_resilient<T, R, F>(
-    items: &[T],
-    threads: usize,
-    retry: &RetryConfig,
-    f: F,
-) -> Vec<TaskReport<R>>
+pub fn run_resilient<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<TaskReport<R>>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T, usize) -> Attempt<R> + Sync,
 {
     run_ordered(items, threads, |i, item| {
-        run_attempts(retry, |attempt| f(i, item, attempt))
+        run_attempts(|attempt| f(i, item, attempt))
     })
 }
 
 /// Runs one item's attempts on the calling thread: each attempt under
 /// `catch_unwind`, a panicked or interrupted attempt retried with
-/// exponential backoff, up to `retry.max_attempts` in all.
-///
-/// `f` receives the attempt number, counting from 0, and must treat each
-/// attempt as a fresh start.
-pub fn run_attempts<R>(
-    retry: &RetryConfig,
-    mut f: impl FnMut(usize) -> Attempt<R>,
-) -> TaskReport<R> {
-    let max_attempts = retry.max_attempts.max(1);
+/// exponential backoff, up to [`MAX_ATTEMPTS`] in all.
+fn run_attempts<R>(mut f: impl FnMut(usize) -> Attempt<R>) -> TaskReport<R> {
     let mut failures = Vec::new();
     let mut partial: Option<R> = None;
-    for attempt in 0..max_attempts {
-        if attempt > 0 && retry.backoff_base_ms > 0 {
-            let shift = (attempt - 1).min(16) as u32;
-            std::thread::sleep(Duration::from_millis(retry.backoff_base_ms << shift));
+    for attempt in 0..MAX_ATTEMPTS {
+        if attempt > 0 {
+            let shift = (attempt - 1) as u32;
+            std::thread::sleep(Duration::from_millis(BACKOFF_BASE_MS << shift));
         }
         match catch_unwind(AssertUnwindSafe(|| f(attempt))) {
             Ok(Attempt::Done(r)) => {
@@ -144,7 +112,7 @@ pub fn run_attempts<R>(
     TaskReport {
         result: partial,
         degraded: true,
-        attempts: max_attempts,
+        attempts: MAX_ATTEMPTS,
         failures,
     }
 }
@@ -156,9 +124,7 @@ mod tests {
 
     #[test]
     fn first_attempt_success_is_clean() {
-        let reports = run_resilient(&[1, 2, 3], 2, &RetryConfig::default(), |_, &x, _| {
-            Attempt::Done(x * 10)
-        });
+        let reports = run_resilient(&[1, 2, 3], 2, |_, &x, _| Attempt::Done(x * 10));
         let results: Vec<i32> = reports.iter().map(|r| r.result.unwrap()).collect();
         assert_eq!(results, vec![10, 20, 30]);
         assert!(reports.iter().all(|r| !r.degraded && r.attempts == 1));
@@ -168,11 +134,7 @@ mod tests {
     #[test]
     fn panicking_attempt_is_retried_and_succeeds() {
         let tries = AtomicUsize::new(0);
-        let retry = RetryConfig {
-            max_attempts: 3,
-            backoff_base_ms: 0,
-        };
-        let reports = run_resilient(&[()], 1, &retry, |_, _, attempt| {
+        let reports = run_resilient(&[()], 1, |_, _, attempt| {
             tries.fetch_add(1, Ordering::Relaxed);
             if attempt == 0 {
                 panic!("injected test panic");
@@ -189,46 +151,36 @@ mod tests {
 
     #[test]
     fn exhausted_attempts_degrade_with_last_partial() {
-        let retry = RetryConfig {
-            max_attempts: 3,
-            backoff_base_ms: 0,
-        };
-        let reports = run_resilient(&[()], 1, &retry, |_, _, attempt| Attempt::Interrupted {
+        let reports = run_resilient(&[()], 1, |_, _, attempt| Attempt::Interrupted {
             reason: format!("attempt {attempt} interrupted"),
             partial: Some(attempt),
         });
         assert!(reports[0].degraded);
-        assert_eq!(reports[0].result, Some(2), "last attempt's partial wins");
-        assert_eq!(reports[0].attempts, 3);
-        assert_eq!(reports[0].retries(), 2);
-        assert_eq!(reports[0].failures.len(), 3);
+        assert_eq!(
+            reports[0].result,
+            Some(MAX_ATTEMPTS - 1),
+            "last attempt's partial wins"
+        );
+        assert_eq!(reports[0].attempts, MAX_ATTEMPTS);
+        assert_eq!(reports[0].failures.len(), MAX_ATTEMPTS);
     }
 
     #[test]
     fn all_panics_degrade_with_no_result() {
-        let retry = RetryConfig {
-            max_attempts: 2,
-            backoff_base_ms: 0,
-        };
-        let reports: Vec<TaskReport<i32>> =
-            run_resilient(&[()], 1, &retry, |_, _, _| -> Attempt<i32> {
-                panic!("always");
-            });
+        let reports: Vec<TaskReport<i32>> = run_resilient(&[()], 1, |_, _, _| -> Attempt<i32> {
+            panic!("always");
+        });
         assert!(reports[0].degraded);
         assert_eq!(reports[0].result, None);
-        assert_eq!(reports[0].failures.len(), 2);
+        assert_eq!(reports[0].failures.len(), MAX_ATTEMPTS);
     }
 
     #[test]
     fn one_poisoned_item_does_not_poison_the_pool() {
         // 8 items on 4 threads, one item always panics: the other 7 must
         // come back clean and in order.
-        let retry = RetryConfig {
-            max_attempts: 2,
-            backoff_base_ms: 0,
-        };
         let items: Vec<usize> = (0..8).collect();
-        let reports = run_resilient(&items, 4, &retry, |_, &x, _| {
+        let reports = run_resilient(&items, 4, |_, &x, _| {
             if x == 3 {
                 panic!("item 3 is cursed");
             }

@@ -11,30 +11,17 @@
 use crate::circuit::{Bit, Circuit, Node};
 use litsynth_sat::{CnfBuilder, Lit, SharedCnf, Var};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Process-wide count of [`CompiledCircuit::compile`] runs. The benchmark
-/// harness asserts "exactly one compilation per query" against this.
-static COMPILATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Per-thread count of [`CompiledCircuit::compile`] runs, for callers
-    /// that need a race-free delta around a compilation they perform
-    /// themselves (the process-wide counter can tick concurrently from
-    /// other threads' compilations).
+    /// Per-thread count of [`CompiledCircuit::compile`] runs.
     static THREAD_COMPILATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Total number of circuit→CNF compilations performed by this process so
-/// far (demand-driven [`Finder::new`](crate::Finder::new) translation is
-/// not counted — only whole-circuit [`CompiledCircuit::compile`] runs).
-pub fn compilations() -> u64 {
-    COMPILATIONS.load(Ordering::Relaxed)
-}
-
-/// Number of circuit→CNF compilations performed by the **calling thread**.
-/// A delta of this value around a code region counts exactly the region's
+/// Number of circuit→CNF compilations performed by the **calling thread**
+/// (demand-driven [`Finder::new`](crate::Finder::new) translation is not
+/// counted — only whole-circuit [`CompiledCircuit::compile`] runs). A
+/// delta of this value around a code region counts exactly the region's
 /// own compilations, immune to concurrent compilation elsewhere.
 pub fn thread_compilations() -> u64 {
     THREAD_COMPILATIONS.with(|c| c.get())
@@ -75,7 +62,6 @@ impl CompiledCircuit {
         roots: I,
         skeleton: bool,
     ) -> CompiledCircuit {
-        COMPILATIONS.fetch_add(1, Ordering::Relaxed);
         THREAD_COMPILATIONS.with(|c| c.set(c.get() + 1));
         let mut b = CnfBuilder::new();
         let mut state = TranslationState {
@@ -346,12 +332,10 @@ mod tests {
 
     #[test]
     fn compilation_counters_tick() {
-        let before = compilations();
         let thread_before = thread_compilations();
         let mut c = Circuit::new();
         let x = c.input("x");
         let _ = CompiledCircuit::compile(&c, [x]);
-        assert!(compilations() > before);
         // The thread-local counter is exact: no other thread can tick it.
         assert_eq!(thread_compilations(), thread_before + 1);
     }

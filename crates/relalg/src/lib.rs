@@ -54,6 +54,6 @@ mod finder;
 mod matrix;
 
 pub use circuit::{Bit, Circuit};
-pub use compiled::{compilations, thread_compilations, CompiledCircuit};
+pub use compiled::{thread_compilations, CompiledCircuit};
 pub use finder::{Finder, Instance};
 pub use matrix::{Matrix1, Matrix2};

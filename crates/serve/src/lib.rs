@@ -10,8 +10,8 @@
 //!   [`cache::suite_fingerprint`], an FNV fold over the query's
 //!   (key, [`litsynth_core::config_fingerprint`]) unit list.
 //! * [`shard`] — the cold path: (axiom, bound) units claimed from one
-//!   shared counter by spawned shard threads, each unit run under the
-//!   portfolio's retry loop, and merged in seq order.
+//!   shared counter by spawned shard threads, each unit run once (its cube
+//!   attempts retry inside it), and merged in seq order.
 //! * [`remote`] — the multi-host tier: units leased to remote workers
 //!   under deadlines, reclaimed on expiry, validated on return, and
 //!   degraded to local compute when the fleet thins out.
@@ -41,9 +41,7 @@ pub use cache::{suite_fingerprint, CacheStats, SuiteCache};
 pub use client::{Client, ClientConfig, ClientError, ServedSuite};
 pub use litsynth_core::plan_query;
 pub use protocol::{CheckReply, CheckRequest, Progress, QueryReply, QueryRequest};
-pub use remote::{BatchStats, RemotePool, RemoteStats};
+pub use remote::{RemotePool, RemoteStats};
 pub use server::{ServeConfig, Server, ServerStats};
-pub use shard::{
-    run_distributed, run_sharded, sharded_union, ShardConfig, ShardFault, ShardRunStats,
-};
+pub use shard::{run_distributed, run_sharded, sharded_union, ShardRunStats};
 pub use worker::{run_worker, FaultKind, WorkerConfig, WorkerFault, WorkerHandle};

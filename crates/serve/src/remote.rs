@@ -20,13 +20,13 @@
 //! when every unit has a recorded outcome. Lost units are re-queued
 //! under a per-unit attempt budget; when the budget is exhausted or no
 //! live worker remains, the unit **degrades to local compute** (counted,
-//! never silent): the query's own thread runs it under the shard layer's
-//! per-unit retry policy — so the served suite is byte-identical to the
-//! direct sweep at any mix of remote, local, and killed workers, and a
-//! partial suite is never returned.
+//! never silent): the query's own thread runs it once, exactly as a shard
+//! thread would — so the served suite is byte-identical to the direct
+//! sweep at any mix of remote, local, and killed workers, and a partial
+//! suite is never returned.
 
 use crate::protocol::{open_body, read_frame, write_frame, Nack, UnitAssign, UnitDone};
-use crate::shard::run_unit_retrying;
+use crate::shard::run_unit_once;
 use litsynth_core::{decode_unit_result, ProgressEvent, SynthResult, UnitPlan};
 use litsynth_models::MemoryModel;
 use std::collections::VecDeque;
@@ -218,10 +218,6 @@ struct BatchState {
     granted: Vec<Option<u64>>,
     /// Units routed to the local fallback, drained by [`run_batch`].
     local_queue: Vec<usize>,
-    /// Units completed remotely (accepted `UNITDONE`s).
-    remote_done: u64,
-    /// Units completed by the local fallback.
-    local_done: u64,
     completed: usize,
     failed: Vec<String>,
 }
@@ -295,7 +291,6 @@ impl Batch {
             return false;
         }
         st.granted[idx] = None;
-        st.remote_done += 1;
         st.completed += 1;
         st.results[idx] = Some(r);
         // Emit under the batch lock: the frame must be on the wire before
@@ -316,10 +311,7 @@ impl Batch {
             return;
         }
         match outcome {
-            Ok(r) => {
-                st.results[idx] = Some(r);
-                st.local_done += 1;
-            }
+            Ok(r) => st.results[idx] = Some(r),
             Err(key) => st.failed.push(key),
         }
         st.completed += 1;
@@ -327,31 +319,19 @@ impl Batch {
     }
 }
 
-/// Per-query counters for one remote batch.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BatchStats {
-    /// Units completed by remote workers.
-    pub remote_done: u64,
-    /// Units completed by the local fallback (degraded).
-    pub local_done: u64,
-    /// Units replayed from the coordinator's journal (zero dispatch).
-    pub journal_done: u64,
-}
-
 /// Runs every planned unit through the remote worker pool, degrading to
 /// local compute as needed, and returns the per-unit results **in seq
-/// order**. `Err` lists units that failed even locally — partial suites
-/// are never returned.
+/// order**. `Err` lists units that panicked in the local fallback —
+/// partial suites are never returned.
 pub(crate) fn run_batch<M: MemoryModel + Sync>(
     model: &M,
     request_model: &str,
     plans: &[UnitPlan],
     pool: &Arc<RemotePool>,
-) -> Result<(Vec<SynthResult>, BatchStats), String> {
+) -> Result<Vec<SynthResult>, String> {
     let total = plans.len();
-    let mut stats = BatchStats::default();
     if total == 0 {
-        return Ok((Vec::new(), stats));
+        return Ok(Vec::new());
     }
     let batch = Arc::new(Batch {
         model: request_model.to_string(),
@@ -361,8 +341,6 @@ pub(crate) fn run_batch<M: MemoryModel + Sync>(
             tries: vec![0; total],
             granted: vec![None; total],
             local_queue: Vec::new(),
-            remote_done: 0,
-            local_done: 0,
             completed: 0,
             failed: Vec::new(),
         }),
@@ -385,7 +363,6 @@ pub(crate) fn run_batch<M: MemoryModel + Sync>(
                 st.results[idx] = Some(r);
                 st.completed += 1;
             }
-            stats.journal_done += 1;
             if let Some(progress) = &p.cfg.progress {
                 progress.emit(&ProgressEvent {
                     key: p.unit.key.to_string(),
@@ -402,18 +379,14 @@ pub(crate) fn run_batch<M: MemoryModel + Sync>(
         }
     }
     // This thread is the local fallback executor: it drains the batch's
-    // degraded queue, one retried unit at a time, while worker
+    // degraded queue, running each unit once, while worker
     // connections serve the rest, and it guards against the last worker
     // dying with units still queued.
     let mut st = lock(&batch.state);
     while st.completed < total {
         if let Some(idx) = st.local_queue.pop() {
             drop(st);
-            let plan = &plans[idx];
-            let outcome = run_unit_retrying(model, plan, None)
-                .result
-                .ok_or_else(|| plan.unit.key.to_string());
-            batch.record_local(idx, outcome);
+            batch.record_local(idx, run_unit_once(model, &plans[idx]));
             st = lock(&batch.state);
             continue;
         }
@@ -435,18 +408,16 @@ pub(crate) fn run_batch<M: MemoryModel + Sync>(
         let mut failed = st.failed.clone();
         failed.sort();
         return Err(format!(
-            "units failed after exhausting remote and local budgets: {}",
+            "units panicked in the local fallback: {}",
             failed.join(", ")
         ));
     }
-    stats.remote_done = st.remote_done;
-    stats.local_done = st.local_done;
     let results = st
         .results
         .iter_mut()
         .map(|r| r.take().expect("no failures, so every unit completed"))
         .collect();
-    Ok((results, stats))
+    Ok(results)
 }
 
 /// What ended one unit's lease on a worker connection.

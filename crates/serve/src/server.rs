@@ -10,10 +10,9 @@
 //!    with zero compilations; the rebuilt body is re-cached.
 //! 3. **Shard layer** ([`crate::shard`]) — genuinely cold units are
 //!    claimed from one shared counter by spawned shard threads (or
-//!    leased to remote workers, [`crate::remote`]), each run under the
-//!    portfolio's retry loop, streaming one `PROGRESS` frame per
-//!    completed unit, and merged in seq order so the served suite is
-//!    byte-identical to a direct
+//!    leased to remote workers, [`crate::remote`]), each run once,
+//!    streaming one `PROGRESS` frame per completed unit, and merged in
+//!    seq order so the served suite is byte-identical to a direct
 //!    [`litsynth_core::synthesize_union_up_to`] call.
 //!
 //! Identical concurrent cold queries coalesce: one connection computes,
@@ -26,8 +25,8 @@ use crate::models::{self, ModelOp};
 use crate::protocol::{
     read_frame, seal_body, write_frame, CheckRequest, Progress, QueryReply, QueryRequest,
 };
-use crate::remote::{BatchStats, RemotePool, RemoteStats};
-use crate::shard::{run_distributed, ShardConfig, ShardFault, ShardRunStats};
+use crate::remote::{RemotePool, RemoteStats};
+use crate::shard::{run_distributed, ShardRunStats};
 use litsynth_core::{
     encode_suite_body, merge_unit_suites, plan_query, CanonicalSuite, Journal, ProgressSink,
     SynthConfig, UnitPlan,
@@ -76,8 +75,6 @@ pub struct ServeConfig {
     pub idle_timeout_ms: u64,
     /// Cube-level fault injection for every unit (tests only).
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Shard-kill fault injection (tests only).
-    pub shard_fault: Option<ShardFault>,
 }
 
 impl Default for ServeConfig {
@@ -95,7 +92,6 @@ impl Default for ServeConfig {
             remote_attempts: 3,
             idle_timeout_ms: 600_000,
             fault_plan: None,
-            shard_fault: None,
         }
     }
 }
@@ -106,7 +102,6 @@ struct Counters {
     coalesced: AtomicU64,
     compilations: AtomicU64,
     solver_retries: AtomicU64,
-    shard_retried: AtomicU64,
     idle_reaped: AtomicU64,
     check_requests: AtomicU64,
     check_cache_hits: AtomicU64,
@@ -126,7 +121,7 @@ pub struct ServerStats {
     pub solver_retries: u64,
     /// Suite-cache counters.
     pub cache: CacheStats,
-    /// Shard-layer counters, summed over cold queries.
+    /// Shard-layer counters.
     pub shard: ShardRunStats,
     /// Remote-tier counters (workers, leases, degradation).
     pub remote: RemoteStats,
@@ -235,10 +230,7 @@ fn stats_of(shared: &Shared) -> ServerStats {
         compilations: c.compilations.load(Ordering::Relaxed),
         solver_retries: c.solver_retries.load(Ordering::Relaxed),
         cache: shared.cache.stats(),
-        shard: ShardRunStats {
-            retried: c.shard_retried.load(Ordering::Relaxed),
-            ..ShardRunStats::default()
-        },
+        shard: ShardRunStats::default(),
         remote: shared.pool.stats(),
         idle_reaped: c.idle_reaped.load(Ordering::Relaxed),
         check_requests: c.check_requests.load(Ordering::Relaxed),
@@ -341,8 +333,7 @@ fn stats_body(shared: &Shared) -> String {
     let s = stats_of(shared);
     format!(
         "queries={}\ncoalesced={}\ncompilations={}\nsolver_retries={}\n\
-         cache_hits={}\ncache_misses={}\ncache_evictions={}\ncache_entries={}\n\
-         cache_bytes={}\nshard_retried={}\n\
+         cache_hits={}\ncache_misses={}\ncache_evictions={}\ncache_entries={}\ncache_bytes={}\n\
          remote_workers_connected={}\nremote_workers_live={}\nremote_units={}\n\
          remote_completed={}\nremote_reclaimed_leases={}\nremote_lease_expiries={}\n\
          remote_nacks={}\nremote_rejected_results={}\nremote_duplicate_unitdone={}\n\
@@ -357,7 +348,6 @@ fn stats_body(shared: &Shared) -> String {
         s.cache.evictions,
         s.cache.entries,
         s.cache.bytes,
-        s.shard.retried,
         s.remote.workers_connected,
         s.remote.workers_live,
         s.remote.units_remote,
@@ -501,18 +491,18 @@ impl ModelOp for Plan<'_> {
 struct Execute<'a> {
     request_model: &'a str,
     plans: &'a [UnitPlan],
-    shard: ShardConfig,
+    shards: usize,
     pool: &'a Arc<RemotePool>,
 }
 
 impl ModelOp for Execute<'_> {
-    type Out = Result<(Vec<litsynth_core::SynthResult>, ShardRunStats, BatchStats), String>;
+    type Out = Result<Vec<litsynth_core::SynthResult>, String>;
     fn run<M: MemoryModel + Sync>(self, model: &M) -> Self::Out {
         run_distributed(
             model,
             self.request_model,
             self.plans,
-            &self.shard,
+            self.shards,
             Some(self.pool),
         )
     }
@@ -608,21 +598,16 @@ fn cold_query(
     plans: &[UnitPlan],
     fingerprint: u64,
 ) -> Result<QueryReply, String> {
-    let shard = ShardConfig {
-        shards: shared.cfg.shards,
-        fault: shared.cfg.shard_fault.clone(),
-    };
-    let (results, stats, _batch) = models::dispatch(
+    let results = models::dispatch(
         &req.model,
         Execute {
             request_model: &req.model,
             plans,
-            shard,
+            shards: shared.cfg.shards,
             pool: &shared.pool,
         },
     )??;
     let c = &shared.counters;
-    c.shard_retried.fetch_add(stats.retried, Ordering::Relaxed);
     let compilations: usize = results.iter().map(|r| r.compilations).sum();
     let retries: u64 = results.iter().map(|r| r.retries).sum();
     let truncated = results.iter().any(|r| r.truncated);
