@@ -18,12 +18,12 @@
 //!
 //! `experiments remote [max_bound]` exercises the multi-host tier over
 //! loopback: a no-fault leg (coordinator + 2 workers, everything remote,
-//! zero degradation) and a kill leg (one worker dies mid-unit; its lease
-//! is reclaimed and the unit re-run), asserting byte identity against
-//! the direct sweep in both and writing the counters to
-//! `BENCH_synth.json` (CI's remote-smoke greps them). Workers run as
-//! real `litsynth-serve worker` processes when the sibling binary is
-//! built, in-process threads otherwise.
+//! nothing rejected, declined or degraded) and a kill leg (one worker
+//! dies mid-unit; its lease is reclaimed and the unit re-run), asserting
+//! byte identity against the direct sweep in both and writing the
+//! counters to `BENCH_synth.json` (CI's remote-smoke greps them).
+//! Workers run as real `litsynth-serve worker` processes when the sibling
+//! binary is built, in-process threads otherwise.
 //!
 //! Passing `--resume` (any position) turns on the checkpoint journal:
 //! every completed (axiom, bound) query is recorded under
@@ -1058,10 +1058,11 @@ fn remote(bound: usize) {
     };
 
     let (nofault_ms, nofault) = leg(None);
-    assert_eq!(
-        nofault.degraded_to_local, 0,
-        "a healthy fleet must not degrade: {nofault:?}"
-    );
+    // A healthy fleet rejects, declines and degrades nothing (a UNITDONE
+    // rejected once and accepted on a retry must fail here).
+    assert_eq!(nofault.rejected_results, 0, "healthy fleet: {nofault:?}");
+    assert_eq!(nofault.nacks, 0, "healthy fleet: {nofault:?}");
+    assert_eq!(nofault.degraded_to_local, 0, "healthy fleet: {nofault:?}");
     println!(
         "no-fault: {nofault_ms:.1} ms, {} units remote, 0 degraded",
         nofault.completed_remote
@@ -1081,11 +1082,14 @@ fn remote(bound: usize) {
          \"bounds\": [2, {bound}],\n  \"worker_mode\": \"{worker_mode}\",\n  \
          \"byte_identical\": true,\n  \"nofault_ms\": {nofault_ms:.3},\n  \
          \"nofault_completed_remote\": {},\n  \"nofault_degraded_to_local\": {},\n  \
+         \"nofault_rejected_results\": {},\n  \"nofault_nacks\": {},\n  \
          \"kill_ms\": {kill_ms:.3},\n  \"reclaimed_leases\": {},\n  \
          \"lease_expiries\": {},\n  \"degraded_to_local\": {},\n  \
          \"rejected_results\": {}\n}}\n",
         nofault.completed_remote,
         nofault.degraded_to_local,
+        nofault.rejected_results,
+        nofault.nacks,
         kill.reclaimed_leases,
         kill.lease_expiries,
         kill.degraded_to_local,

@@ -16,7 +16,7 @@
 //! substitute answers that a clean run would also have produced.
 
 use crate::symbolic::SynthConfig;
-use crate::synth::{CanonicalSuite, SynthResult};
+use crate::synth::CanonicalSuite;
 use litsynth_litmus::format::{from_text, to_text};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -50,8 +50,16 @@ pub fn query_key(model: &str, axiom: &str, bound: usize) -> String {
 /// knobs (threads, cube bits, exchange, adaptive cubes) are deliberately
 /// excluded: suites are byte-identical across them by construction.
 pub fn config_fingerprint(model: &str, axiom: &str, cfg: &SynthConfig) -> u64 {
-    let desc = format!(
-        "{model}|{axiom}|events={}|max_threads={}|max_addrs={}|exact_canon={}|\
+    fnv1a(format!("{model}|{axiom}|{}", suite_config(cfg)).as_bytes())
+}
+
+/// The suite-relevant fields of `cfg` as one text,
+/// `events=…|max_threads=…|…|time_budget_ms=…`: the one place that lists
+/// them. [`config_fingerprint`] hashes it, and a remote unit assignment
+/// carries it for [`parse_suite_config`] to rebuild on the worker.
+pub fn suite_config(cfg: &SynthConfig) -> String {
+    format!(
+        "events={}|max_threads={}|max_addrs={}|exact_canon={}|\
          orphan_unconstrained={}|max_instances={}|time_budget_ms={}",
         cfg.events,
         cfg.max_threads,
@@ -60,8 +68,31 @@ pub fn config_fingerprint(model: &str, axiom: &str, cfg: &SynthConfig) -> u64 {
         cfg.orphan_unconstrained,
         cfg.max_instances,
         cfg.time_budget_ms,
-    );
-    fnv1a(desc.as_bytes())
+    )
+}
+
+/// Rebuilds a [`SynthConfig`] from a [`suite_config`] text: every other
+/// field keeps its [`SynthConfig::new`] default. Accepts exactly the text
+/// `suite_config` writes and nothing else (another field order, a missing
+/// or extra field, or another spelling of a value is an `Err`).
+pub fn parse_suite_config(text: &str) -> Result<SynthConfig, String> {
+    fn next<T: std::str::FromStr>(fields: &mut std::str::Split<'_, char>) -> Option<T> {
+        fields.next()?.split_once('=')?.1.parse().ok()
+    }
+    let fields = &mut text.split('|');
+    let cfg = (|| {
+        let mut cfg = SynthConfig::new(next(fields)?);
+        cfg.max_threads = next(fields)?;
+        cfg.max_addrs = next(fields)?;
+        cfg.exact_canon = next(fields)?;
+        cfg.orphan_unconstrained = next(fields)?;
+        cfg.max_instances = next(fields)?;
+        cfg.time_budget_ms = next(fields)?;
+        Some(cfg)
+    })();
+    // Rendering back checks the keys, their order and every spelling.
+    cfg.filter(|cfg| suite_config(cfg) == text)
+        .ok_or_else(|| format!("suite config {text:?} is not a `suite_config` text"))
 }
 
 /// Writes `contents` to `path` atomically: a unique temp file in the same
@@ -272,82 +303,6 @@ impl Journal {
             }
         }
     }
-}
-
-/// Serializes one completed (axiom, bound) unit result for the remote
-/// worker wire: the journal entry's own header discipline (config
-/// fingerprint, FNV content checksum, test count) plus the work counters a
-/// coordinator folds into the merged reply, a blank line, and the suite in
-/// [`encode_suite_body`] format. [`decode_unit_result`] round-trips it and
-/// rejects any corruption or config skew — a remote worker's answer is
-/// merged only if it provably ran the same query under the same config.
-pub fn encode_unit_result(fingerprint: u64, r: &SynthResult) -> String {
-    let body = encode_suite_body(&r.tests);
-    format!(
-        "config {fingerprint:016x}\nchecksum {:016x}\ntests {}\ncompilations {}\n\
-         retries {}\ntruncated {}\ndegraded {}\n\n{body}",
-        fnv1a(body.as_bytes()),
-        r.tests.len(),
-        r.compilations,
-        r.retries,
-        r.truncated,
-        r.degraded,
-    )
-}
-
-/// Parses an [`encode_unit_result`] payload, validating the declared
-/// config fingerprint against `expect_fingerprint` and the FNV checksum
-/// against the body that actually arrived. A stale (wrong-config) or
-/// corrupt result is an `Err` naming the expected/actual values — never a
-/// partial or silently-wrong suite.
-pub fn decode_unit_result(text: &str, expect_fingerprint: u64) -> Result<SynthResult, String> {
-    let (header, body) = text
-        .split_once("\n\n")
-        .ok_or_else(|| "unit result has no blank line after the header".to_string())?;
-    let mut fingerprint = None;
-    let mut checksum = None;
-    let mut tests = None;
-    let mut r = SynthResult::carrying(CanonicalSuite::new());
-    for line in header.lines() {
-        let (k, v) = line
-            .split_once(' ')
-            .ok_or_else(|| format!("unit-result header line {line:?} is not `key value`"))?;
-        let err = || format!("unit-result field {k} {v:?} is malformed");
-        match k {
-            "config" => fingerprint = Some(u64::from_str_radix(v, 16).map_err(|_| err())?),
-            "checksum" => checksum = Some(u64::from_str_radix(v, 16).map_err(|_| err())?),
-            "tests" => tests = Some(v.parse::<usize>().map_err(|_| err())?),
-            "compilations" => r.compilations = v.parse().map_err(|_| err())?,
-            "retries" => r.retries = v.parse().map_err(|_| err())?,
-            "truncated" => r.truncated = v.parse().map_err(|_| err())?,
-            "degraded" => r.degraded = v.parse().map_err(|_| err())?,
-            other => return Err(format!("unknown unit-result field {other:?}")),
-        }
-    }
-    let fingerprint = fingerprint.ok_or("unit result is missing the config line")?;
-    if fingerprint != expect_fingerprint {
-        return Err(format!(
-            "config fingerprint mismatch: expected {expect_fingerprint:016x}, \
-             actual {fingerprint:016x}"
-        ));
-    }
-    let checksum = checksum.ok_or("unit result is missing the checksum line")?;
-    let actual = fnv1a(body.as_bytes());
-    if actual != checksum {
-        return Err(format!(
-            "content checksum mismatch: expected {checksum:016x}, actual {actual:016x}"
-        ));
-    }
-    let tests = tests.ok_or("unit result is missing the tests line")?;
-    let suite = decode_suite_body(body).ok_or("unit-result suite body does not parse")?;
-    if suite.len() != tests {
-        return Err(format!(
-            "unit result declares {tests} tests but the body holds {}",
-            suite.len()
-        ));
-    }
-    r.tests = suite;
-    Ok(r)
 }
 
 /// Serializes a canonical suite to the journal/wire body format: per test,
@@ -592,40 +547,49 @@ mod tests {
     }
 
     #[test]
-    fn unit_result_round_trips_and_rejects_skew_and_corruption() {
-        let mut r = SynthResult::carrying(sample_suite());
-        r.compilations = 2;
-        r.retries = 3;
-        r.truncated = false;
-        r.degraded = 0;
-        let text = encode_unit_result(0x1234, &r);
-        let back = decode_unit_result(&text, 0x1234).expect("round-trips");
-        assert_eq!(back.compilations, 2);
-        assert_eq!(back.retries, 3);
+    fn suite_config_round_trips_and_parses_nothing_else() {
+        let mut cfg = SynthConfig::new(4);
+        cfg.max_threads = 2;
+        cfg.exact_canon = false;
+        cfg.orphan_unconstrained = false;
+        cfg.max_instances = 400;
+        cfg.time_budget_ms = 250;
+        let text = suite_config(&cfg);
         assert_eq!(
-            encode_suite_body(&back.tests),
-            encode_suite_body(&r.tests),
-            "suite bytes survive the round-trip"
+            text,
+            "events=4|max_threads=2|max_addrs=3|exact_canon=false|\
+             orphan_unconstrained=false|max_instances=400|time_budget_ms=250"
         );
-
-        // Config skew: a result computed under another fingerprint is
-        // stale and must be rejected, naming both values.
-        let err = decode_unit_result(&text, 0x9999).expect_err("stale result rejected");
-        assert!(
-            err.contains("0000000000009999") && err.contains("0000000000001234"),
-            "{err}"
+        let back = parse_suite_config(&text).expect("round-trips");
+        assert_eq!(suite_config(&back), text);
+        assert_eq!(
+            config_fingerprint("TSO", "causality", &back),
+            config_fingerprint("TSO", "causality", &cfg)
         );
-
-        // Corruption: flip one byte of the suite body — the checksum must
-        // catch it and the error must name expected/actual digests.
-        let flipped = text.replacen("%%", "%$", 1);
-        assert_ne!(flipped, text, "sample suite must be non-empty");
-        let err = decode_unit_result(&flipped, 0x1234).expect_err("corrupt result rejected");
-        assert!(err.contains("checksum mismatch"), "{err}");
-        assert!(err.contains("expected") && err.contains("actual"), "{err}");
-
-        // Truncation: a torn payload never yields a partial suite.
-        assert!(decode_unit_result(&text[..text.len() / 2], 0x1234).is_err());
+        let default = suite_config(&SynthConfig::new(3));
+        assert_eq!(
+            parse_suite_config(&default).map(|c| suite_config(&c)),
+            Ok(default.clone())
+        );
+        // Only the exact text: no reordering, renaming, missing, extra or
+        // respelled field.
+        for bad in [
+            String::new(),
+            text.replace("events=4|", ""),
+            format!("{text}|extra=1"),
+            text.replace("max_threads=2|max_addrs=3", "max_addrs=3|max_threads=2"),
+            text.replace("max_addrs", "addrs"),
+            text.replace("events=4", "events=04"),
+            text.replace("events=4", "events=+4"),
+            text.replace("exact_canon=false", "exact_canon=0"),
+            text.replace('|', ","),
+            format!("{text}\n"),
+        ] {
+            assert!(
+                parse_suite_config(&bad).is_err(),
+                "{bad:?} must be rejected"
+            );
+        }
     }
 
     #[test]

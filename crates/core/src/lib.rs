@@ -28,8 +28,8 @@ pub mod synth;
 
 pub use allprogs::count_programs;
 pub use journal::{
-    atomic_write, config_fingerprint, decode_suite_body, decode_unit_result, encode_suite_body,
-    encode_unit_result, env_journal, fnv1a, query_key, Journal,
+    atomic_write, config_fingerprint, decode_suite_body, encode_suite_body, env_journal, fnv1a,
+    parse_suite_config, query_key, suite_config, Journal,
 };
 pub use minimal::{check_minimal, minimal_for_some_axiom, MinimalityVerdict};
 pub use relax::{applications, apply, Application};

@@ -6,8 +6,8 @@
 //! with the expected/actual digests, never parsed).
 
 use crate::protocol::{
-    open_body, read_frame, write_frame, CheckReply, CheckRequest, Progress, QueryReply,
-    QueryRequest,
+    is_timeout, open_body, read_frame, read_stats, write_frame, CheckReply, CheckRequest, Progress,
+    QueryReply, QueryRequest,
 };
 use litsynth_core::{decode_suite_body, CanonicalSuite};
 use litsynth_litmus::{wire, LitmusTest, Outcome, SplitMix64};
@@ -75,11 +75,10 @@ impl std::error::Error for ClientError {}
 
 impl ClientError {
     fn from_io(e: io::Error, op: &str) -> ClientError {
-        match e.kind() {
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
-                ClientError::Timeout(op.to_string())
-            }
-            _ => ClientError::Io(e),
+        if is_timeout(&e) {
+            ClientError::Timeout(op.to_string())
+        } else {
+            ClientError::Io(e)
         }
     }
 }
@@ -242,17 +241,6 @@ impl Client {
         if verb != "STATS" {
             return Err(ClientError::Protocol(format!("expected STATS, got {verb}")));
         }
-        body.lines()
-            .filter(|l| !l.is_empty())
-            .map(|line| {
-                let (k, v) = line
-                    .split_once('=')
-                    .ok_or_else(|| ClientError::Protocol(format!("stats line {line:?}")))?;
-                let v = v
-                    .parse()
-                    .map_err(|_| ClientError::Protocol(format!("stats value {line:?}")))?;
-                Ok((k.to_string(), v))
-            })
-            .collect()
+        read_stats(&body).map_err(ClientError::Protocol)
     }
 }

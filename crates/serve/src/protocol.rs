@@ -3,44 +3,57 @@
 //! Every frame is `"<VERB> <len>\n"` followed by exactly `len` bytes of
 //! UTF-8 body. Verbs:
 //!
-//! | verb       | direction | body                                        |
-//! |------------|-----------|---------------------------------------------|
-//! | `QUERY`    | c → s     | a [`QueryRequest`] in `key=value` lines     |
-//! | `PROGRESS` | s → c     | one completed (axiom, bound) unit           |
-//! | `SUITE`    | s → c     | [`QueryReply`] header, blank line, suite    |
-//! | `ERR`      | s → c     | human-readable error text                   |
-//! | `PING`     | c → s     | empty                                       |
-//! | `PONG`     | s → c     | empty                                       |
-//! | `STATS`    | both      | empty request; `key=value` lines back       |
-//! | `HELLO`    | w → c     | remote-worker registration, `key=value`     |
-//! | `LEASE`    | c → w     | lease terms on registration (`lease_ms=N`)  |
-//! | `LEASE`    | w → c     | lease renewal for a running unit            |
-//! | `UNIT`     | c → w     | a [`UnitAssign`]: one leased unit to run    |
-//! | `UNITDONE` | w → c     | a [`UnitDone`]: the unit's result payload   |
-//! | `NACK`     | w → c     | a [`Nack`]: the worker declines the unit    |
+//! | verb       | direction | body                                         |
+//! |------------|-----------|----------------------------------------------|
+//! | `QUERY`    | c → s     | a [`QueryRequest`]                           |
+//! | `PROGRESS` | s → c     | a [`Progress`]: one completed unit           |
+//! | `SUITE`    | s → c     | [`QueryReply`] header, blank line, suite     |
+//! | `ERR`      | s → c     | human-readable error text                    |
+//! | `PING`     | c → s     | empty                                        |
+//! | `PONG`     | s → c     | empty                                        |
+//! | `STATS`    | both      | empty request; `name=value` counters back    |
+//! | `HELLO`    | w → c     | empty: remote-worker registration            |
+//! | `LEASE`    | c → w     | lease terms on registration: `lease_ms`      |
+//! | `LEASE`    | w → c     | renewal of a running unit's lease: `grant`   |
+//! | `UNIT`     | c → w     | a [`UnitAssign`]: one leased unit to run     |
+//! | `UNITDONE` | w → c     | the unit's result header, blank line, suite  |
+//! | `NACK`     | w → c     | a [`Nack`]: the worker declines the unit     |
 //! | `CHECK`    | c → s     | a [`CheckRequest`]: model + witness to judge |
 //! | `VERDICT`  | s → c     | a [`CheckReply`]: the consistency verdict    |
 //!
 //! (`c` = client, `s` = server, `w` = remote worker, and the coordinator
 //! is the server end of a worker connection.)
 //!
-//! The suite section of a `SUITE` frame is exactly
+//! This module alone knows how a body is laid out. Every header is
+//! `key=value` lines read by one field reader: a body carries each field
+//! of its message exactly once and nothing else, so a line without `=` or
+//! a repeated, missing or unknown key is an error naming the message.
+//! `STATS` is the one open list: any counter names, each once.
+//!
+//! The suite section of a `SUITE` (and `UNITDONE`) frame is exactly
 //! [`litsynth_core::encode_suite_body`] — the same format the journal
 //! stores — so a served suite can be byte-compared against a direct
 //! [`litsynth_core::synthesize_union_up_to`] run without re-parsing.
 //!
-//! `SUITE` and `UNITDONE` bodies additionally carry an FNV-1a integrity
-//! trailer ([`seal_body`]/[`open_body`]): journal entries already checksum
-//! their contents, but the wire did not, and a result-bearing frame that
-//! arrives bit-flipped must be rejected (with an `ERR` naming the
-//! expected/actual digest), never parsed into a wrong suite.
+//! `SUITE`, `VERDICT` and `UNITDONE` bodies additionally carry an FNV-1a
+//! integrity trailer ([`seal_body`]/[`open_body`]): journal entries
+//! already checksum their contents, but the wire did not, and a
+//! result-bearing frame that arrives bit-flipped must be rejected (with an
+//! `ERR` naming the expected/actual digest), never parsed into a wrong
+//! suite.
 
-use litsynth_core::fnv1a;
-use std::io::{self, BufRead, Write};
+use litsynth_core::{decode_suite_body, encode_suite_body, fnv1a, SynthResult};
+use std::collections::BTreeMap;
+use std::io::{self, BufRead, ErrorKind, Read, Write};
+use std::str::FromStr;
 
 /// Frames larger than this are rejected before the body is read, so a
 /// corrupt or hostile length prefix can't trigger a giant allocation.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// The cap on a frame header's bytes, which a verb, a space, 20 digits and
+/// `\n` fit well within: a peer that sends no newline is cut off here.
+const MAX_HEADER: u64 = 64;
 
 /// Writes one `"<verb> <len>\n<body>"` frame and flushes. The frame is
 /// composed first and written in one call — on an unbuffered TCP stream,
@@ -54,14 +67,17 @@ pub fn write_frame(w: &mut impl Write, verb: &str, body: &str) -> io::Result<()>
 /// Reads one frame. `Ok(None)` is a clean EOF (peer closed between
 /// frames); anything malformed is an [`io::ErrorKind::InvalidData`].
 pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<(String, String)>> {
-    let mut header = String::new();
-    if r.read_line(&mut header)? == 0 {
+    let mut header = Vec::new();
+    if r.by_ref().take(MAX_HEADER).read_until(b'\n', &mut header)? == 0 {
         return Ok(None);
     }
-    let header = header.trim_end_matches('\n');
-    let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-    let (verb, len) = header
-        .split_once(' ')
+    let bad = |what: &str| io::Error::new(ErrorKind::InvalidData, what.to_string());
+    let header = header
+        .strip_suffix(b"\n")
+        .ok_or_else(|| bad("frame header has no newline within 64 bytes"))?;
+    let (verb, len) = std::str::from_utf8(header)
+        .ok()
+        .and_then(|h| h.split_once(' '))
         .ok_or_else(|| bad("frame header is not `VERB len`"))?;
     if verb.is_empty() || !verb.bytes().all(|b| b.is_ascii_uppercase()) {
         return Err(bad("frame verb must be ASCII uppercase"));
@@ -78,9 +94,15 @@ pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<(String, String)>> 
     Ok(Some((verb.to_string(), body)))
 }
 
+/// `true` for the error a socket read or write timeout raises
+/// (`WouldBlock` on Unix, `TimedOut` on Windows).
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
 /// Appends the FNV-1a integrity trailer to a result-bearing frame body
-/// (`SUITE`/`UNITDONE`): one final `#fnv=<16 hex digits>` line over every
-/// byte before it. [`open_body`] verifies and strips it.
+/// (`SUITE`/`VERDICT`/`UNITDONE`): one final `#fnv=<16 hex digits>` line
+/// over every byte before it. [`open_body`] verifies and strips it.
 pub fn seal_body(body: &str) -> String {
     format!("{body}#fnv={:016x}\n", fnv1a(body.as_bytes()))
 }
@@ -110,6 +132,84 @@ pub fn open_body(sealed: &str) -> Result<&str, String> {
         ));
     }
     Ok(payload)
+}
+
+/// Splits one `key=value` line at its first `=`: the one place a body
+/// line is split.
+fn split_field<'a>(what: &str, line: &'a str) -> Result<(&'a str, &'a str), String> {
+    line.split_once('=')
+        .ok_or_else(|| format!("{what} line {line:?} is not key=value"))
+}
+
+/// One header field of the message `what`, ready to convert.
+#[derive(Clone, Copy)]
+struct Field<'a> {
+    what: &'static str,
+    key: &'static str,
+    value: &'a str,
+}
+
+impl Field<'_> {
+    fn parse<T: FromStr>(self) -> Result<T, String> {
+        self.value.parse().map_err(|_| self.malformed())
+    }
+
+    fn hex(self) -> Result<u64, String> {
+        u64::from_str_radix(self.value, 16).map_err(|_| self.malformed())
+    }
+
+    fn malformed(self) -> String {
+        let Field { what, key, value } = self;
+        format!("{what} field {key}={value:?} is malformed")
+    }
+}
+
+/// The field reader: the `key=value` lines of a `what` header, which must
+/// carry each of `keys` exactly once and nothing else, in `keys` order.
+/// The fields live on the stack, so reading allocates only on error.
+fn read_fields<'a, const N: usize>(
+    what: &'static str,
+    header: &'a str,
+    keys: [&'static str; N],
+) -> Result<[Field<'a>; N], String> {
+    let mut values = [None; N];
+    for line in header.split_terminator('\n') {
+        let (key, value) = split_field(what, line)?;
+        let slot = keys
+            .iter()
+            .position(|k| *k == key)
+            .ok_or_else(|| format!("unknown {what} field {key:?}"))?;
+        if values[slot].replace(value).is_some() {
+            return Err(format!("repeated {what} field {key:?}"));
+        }
+    }
+    let mut fields = [Field {
+        what,
+        key: "",
+        value: "",
+    }; N];
+    for ((field, key), value) in fields.iter_mut().zip(keys).zip(values) {
+        field.key = key;
+        field.value = value.ok_or_else(|| format!("{what} is missing the {key} field"))?;
+    }
+    Ok(fields)
+}
+
+/// Splits a header at its blank line into the `key=value` lines and the
+/// section after them.
+fn split_header<'a>(what: &str, body: &'a str) -> Result<(&'a str, &'a str), String> {
+    body.split_once("\n\n")
+        .ok_or_else(|| format!("{what} body has no blank line after the header"))
+}
+
+/// A comma-separated list value; empty items are dropped.
+fn list<T: FromStr>(field: Field<'_>) -> Result<Vec<T>, String> {
+    field
+        .value
+        .split(',')
+        .filter(|item| !item.is_empty())
+        .map(|item| item.parse().map_err(|_| field.malformed()))
+        .collect()
 }
 
 /// A suite query: which model variant, which bounds, which axioms.
@@ -157,38 +257,22 @@ impl QueryRequest {
         )
     }
 
-    /// Parses `key=value` lines; unknown keys and bad numbers are errors
-    /// (the fingerprint is a cache key — silently dropping a field could
-    /// serve the wrong suite).
+    /// Parses `key=value` lines; a missing, unknown or repeated key and a
+    /// bad number are errors (the fingerprint is a cache key — silently
+    /// dropping a field could serve the wrong suite).
     pub fn from_body(body: &str) -> Result<QueryRequest, String> {
-        let mut req = QueryRequest::sweep("", 2, 0);
-        for line in body.lines().filter(|l| !l.is_empty()) {
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| format!("request line {line:?} is not key=value"))?;
-            let num = |v: &str| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("request field {k}={v:?} is not a number"))
-            };
-            match k {
-                "model" => req.model = v.to_string(),
-                "min_bound" => req.min_bound = num(v)? as usize,
-                "max_bound" => req.max_bound = num(v)? as usize,
-                "axioms" => {
-                    req.axioms = v
-                        .split(',')
-                        .filter(|a| !a.is_empty())
-                        .map(str::to_string)
-                        .collect()
-                }
-                "budget_ms" => req.budget_ms = num(v)?,
-                other => return Err(format!("unknown request field {other:?}")),
-            }
-        }
-        if req.model.is_empty() {
-            return Err("request is missing the model field".to_string());
-        }
-        Ok(req)
+        let [model, min_bound, max_bound, axioms, budget_ms] = read_fields(
+            "QUERY",
+            body,
+            ["model", "min_bound", "max_bound", "axioms", "budget_ms"],
+        )?;
+        Ok(QueryRequest {
+            model: model.value.to_string(),
+            min_bound: min_bound.parse()?,
+            max_bound: max_bound.parse()?,
+            axioms: list(axioms)?,
+            budget_ms: budget_ms.parse()?,
+        })
     }
 }
 
@@ -231,40 +315,32 @@ impl QueryReply {
         )
     }
 
-    /// Parses a `SUITE` frame body.
+    /// Parses a `SUITE` frame body (after [`open_body`]).
     pub fn from_body(body: &str) -> Result<QueryReply, String> {
-        let (header, suite) = body
-            .split_once("\n\n")
-            .ok_or_else(|| "reply has no blank line after the header".to_string())?;
-        let mut reply = QueryReply {
-            fingerprint: 0,
-            tests: 0,
-            cached: false,
-            compilations: 0,
-            retries: 0,
-            truncated: false,
-            degraded: 0,
+        let (header, suite) = split_header("SUITE", body)?;
+        let [fingerprint, tests, cached, compilations, retries, truncated, degraded] = read_fields(
+            "SUITE",
+            header,
+            [
+                "fingerprint",
+                "tests",
+                "cached",
+                "compilations",
+                "retries",
+                "truncated",
+                "degraded",
+            ],
+        )?;
+        Ok(QueryReply {
+            fingerprint: fingerprint.hex()?,
+            tests: tests.parse()?,
+            cached: cached.parse()?,
+            compilations: compilations.parse()?,
+            retries: retries.parse()?,
+            truncated: truncated.parse()?,
+            degraded: degraded.parse()?,
             suite: suite.to_string(),
-        };
-        for line in header.lines() {
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| format!("reply line {line:?} is not key=value"))?;
-            let err = || format!("reply field {k}={v:?} is malformed");
-            match k {
-                "fingerprint" => {
-                    reply.fingerprint = u64::from_str_radix(v, 16).map_err(|_| err())?
-                }
-                "tests" => reply.tests = v.parse().map_err(|_| err())?,
-                "cached" => reply.cached = v.parse().map_err(|_| err())?,
-                "compilations" => reply.compilations = v.parse().map_err(|_| err())?,
-                "retries" => reply.retries = v.parse().map_err(|_| err())?,
-                "truncated" => reply.truncated = v.parse().map_err(|_| err())?,
-                "degraded" => reply.degraded = v.parse().map_err(|_| err())?,
-                other => return Err(format!("unknown reply field {other:?}")),
-            }
-        }
-        Ok(reply)
+        })
     }
 }
 
@@ -290,33 +366,64 @@ impl Progress {
 
     /// Parses a `PROGRESS` frame body.
     pub fn from_body(body: &str) -> Result<Progress, String> {
-        let mut p = Progress {
-            key: String::new(),
-            tests: 0,
-            from_journal: false,
-        };
-        for line in body.lines().filter(|l| !l.is_empty()) {
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| format!("progress line {line:?} is not key=value"))?;
-            let err = || format!("progress field {k}={v:?} is malformed");
-            match k {
-                "key" => p.key = v.to_string(),
-                "tests" => p.tests = v.parse().map_err(|_| err())?,
-                "from_journal" => p.from_journal = v.parse().map_err(|_| err())?,
-                other => return Err(format!("unknown progress field {other:?}")),
-            }
-        }
-        Ok(p)
+        let [key, tests, from_journal] =
+            read_fields("PROGRESS", body, ["key", "tests", "from_journal"])?;
+        Ok(Progress {
+            key: key.value.to_string(),
+            tests: tests.parse()?,
+            from_journal: from_journal.parse()?,
+        })
     }
 }
 
-/// One leased unit assignment, coordinator → worker. Carries the unit's
-/// identity (key, merge seq, config fingerprint), the lease bookkeeping
-/// (grant id, attempt number), and every *suite-relevant* config field —
-/// exactly the set [`litsynth_core::config_fingerprint`] covers — so the
-/// worker can rebuild the query config, recompute the fingerprint, and
-/// refuse (NACK) an assignment its code would answer differently.
+/// The `STATS` reply: one `name=value` line per counter, in `counters`
+/// order.
+pub(crate) fn stats_body(counters: &[(&str, u64)]) -> String {
+    counters.iter().map(|(k, v)| format!("{k}={v}\n")).collect()
+}
+
+/// Parses a [`stats_body`] into a name → value map: any names, each once.
+pub(crate) fn read_stats(body: &str) -> Result<BTreeMap<String, u64>, String> {
+    let mut stats = BTreeMap::new();
+    for line in body.split_terminator('\n') {
+        let (name, value) = split_field("STATS", line)?;
+        let value = value
+            .parse()
+            .map_err(|_| format!("STATS counter {name}={value:?} is malformed"))?;
+        if stats.insert(name.to_string(), value).is_some() {
+            return Err(format!("repeated STATS counter {name:?}"));
+        }
+    }
+    Ok(stats)
+}
+
+/// The coordinator's `LEASE` terms, sent once after `HELLO`.
+pub(crate) fn lease_terms_body(lease_ms: u64) -> String {
+    format!("lease_ms={lease_ms}\n")
+}
+
+/// Parses [`lease_terms_body`]: the lease period in milliseconds.
+pub(crate) fn read_lease_terms(body: &str) -> Result<u64, String> {
+    let [lease_ms] = read_fields("LEASE", body, ["lease_ms"])?;
+    lease_ms.parse()
+}
+
+/// A worker's `LEASE` renewal of the unit leased under `grant`.
+pub(crate) fn renewal_body(grant: u64) -> String {
+    format!("grant={grant}\n")
+}
+
+/// Parses [`renewal_body`]: the renewed grant.
+pub(crate) fn read_renewal(body: &str) -> Result<u64, String> {
+    let [grant] = read_fields("LEASE", body, ["grant"])?;
+    grant.parse()
+}
+
+/// One leased unit assignment, coordinator → worker: the unit's identity
+/// (key, model, axiom, config fingerprint), its lease grant, and its
+/// suite-relevant config as one [`litsynth_core::suite_config`] text, so
+/// the worker can rebuild the query config, recompute the fingerprint,
+/// and refuse (NACK) an assignment its code would answer differently.
 /// Parallelism knobs are deliberately absent: they are the worker's own
 /// business and byte-identity-preserving by construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -327,146 +434,129 @@ pub struct UnitAssign {
     /// `NACK`, and renewal `LEASE` frames so a stale answer from a
     /// reclaimed lease can never be mistaken for the live one.
     pub grant: u64,
-    /// The unit's position in the sweep's deterministic merge order.
-    pub seq: usize,
-    /// Remote attempts already consumed for this unit (0 on the first).
-    pub attempt: usize,
     /// Request-model name, lower-case (`tso`, `armv7`, …).
     pub model: String,
     /// The query's axiom.
     pub axiom: String,
-    /// The query's event bound (also the config's `events`).
-    pub bound: usize,
     /// The coordinator's [`litsynth_core::config_fingerprint`] for this
     /// unit — the worker must reproduce it or NACK.
     pub fingerprint: u64,
-    /// `SynthConfig::max_threads` (test threads, suite-relevant).
-    pub max_threads: usize,
-    /// `SynthConfig::max_addrs`.
-    pub max_addrs: usize,
-    /// `SynthConfig::exact_canon`.
-    pub exact_canon: bool,
-    /// `SynthConfig::orphan_unconstrained`.
-    pub orphan_unconstrained: bool,
-    /// `SynthConfig::max_instances`.
-    pub max_instances: usize,
-    /// `SynthConfig::time_budget_ms`.
-    pub time_budget_ms: u64,
+    /// The unit's [`litsynth_core::suite_config`] text (`events` is the
+    /// bound), for [`litsynth_core::parse_suite_config`] on the worker.
+    pub config: String,
 }
 
 impl UnitAssign {
     /// Serializes to `key=value` lines.
     pub fn to_body(&self) -> String {
         format!(
-            "key={}\ngrant={}\nseq={}\nattempt={}\nmodel={}\naxiom={}\nbound={}\n\
-             fingerprint={:016x}\nmax_threads={}\nmax_addrs={}\nexact_canon={}\n\
-             orphan_unconstrained={}\nmax_instances={}\ntime_budget_ms={}\n",
-            self.key,
-            self.grant,
-            self.seq,
-            self.attempt,
-            self.model,
-            self.axiom,
-            self.bound,
-            self.fingerprint,
-            self.max_threads,
-            self.max_addrs,
-            self.exact_canon,
-            self.orphan_unconstrained,
-            self.max_instances,
-            self.time_budget_ms,
+            "key={}\ngrant={}\nmodel={}\naxiom={}\nfingerprint={:016x}\nconfig={}\n",
+            self.key, self.grant, self.model, self.axiom, self.fingerprint, self.config,
         )
     }
 
-    /// Parses a `UNIT` frame body; unknown keys and bad values are errors
-    /// (running a misparsed assignment would waste a lease, or worse).
+    /// Parses a `UNIT` frame body; a missing, unknown or repeated key and
+    /// a bad value are errors (running a misparsed assignment would waste
+    /// a lease, or worse).
     pub fn from_body(body: &str) -> Result<UnitAssign, String> {
-        let mut a = UnitAssign {
-            key: String::new(),
-            grant: 0,
-            seq: 0,
-            attempt: 0,
-            model: String::new(),
-            axiom: String::new(),
-            bound: 0,
-            fingerprint: 0,
-            max_threads: 0,
-            max_addrs: 0,
-            exact_canon: false,
-            orphan_unconstrained: true,
-            max_instances: 0,
-            time_budget_ms: 0,
-        };
-        for line in body.lines().filter(|l| !l.is_empty()) {
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| format!("unit line {line:?} is not key=value"))?;
-            let err = || format!("unit field {k}={v:?} is malformed");
-            match k {
-                "key" => a.key = v.to_string(),
-                "grant" => a.grant = v.parse().map_err(|_| err())?,
-                "seq" => a.seq = v.parse().map_err(|_| err())?,
-                "attempt" => a.attempt = v.parse().map_err(|_| err())?,
-                "model" => a.model = v.to_string(),
-                "axiom" => a.axiom = v.to_string(),
-                "bound" => a.bound = v.parse().map_err(|_| err())?,
-                "fingerprint" => a.fingerprint = u64::from_str_radix(v, 16).map_err(|_| err())?,
-                "max_threads" => a.max_threads = v.parse().map_err(|_| err())?,
-                "max_addrs" => a.max_addrs = v.parse().map_err(|_| err())?,
-                "exact_canon" => a.exact_canon = v.parse().map_err(|_| err())?,
-                "orphan_unconstrained" => a.orphan_unconstrained = v.parse().map_err(|_| err())?,
-                "max_instances" => a.max_instances = v.parse().map_err(|_| err())?,
-                "time_budget_ms" => a.time_budget_ms = v.parse().map_err(|_| err())?,
-                other => return Err(format!("unknown unit field {other:?}")),
-            }
-        }
-        if a.key.is_empty() || a.model.is_empty() || a.axiom.is_empty() {
-            return Err("unit assignment is missing key/model/axiom".to_string());
-        }
-        Ok(a)
-    }
-}
-
-/// A completed unit, worker → coordinator: the echoed lease coordinates
-/// plus the [`litsynth_core::encode_unit_result`] payload (which carries
-/// its own config fingerprint and content checksum — the coordinator
-/// validates both before merging).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnitDone {
-    /// The unit's query key.
-    pub key: String,
-    /// The lease grant this result answers.
-    pub grant: u64,
-    /// The [`litsynth_core::encode_unit_result`] text.
-    pub payload: String,
-}
-
-impl UnitDone {
-    /// Serializes: two fixed header lines, then the payload verbatim.
-    pub fn to_body(&self) -> String {
-        format!("key={}\ngrant={}\n{}", self.key, self.grant, self.payload)
-    }
-
-    /// Parses a `UNITDONE` frame body (after [`open_body`]).
-    pub fn from_body(body: &str) -> Result<UnitDone, String> {
-        let mut parts = body.splitn(3, '\n');
-        let key = parts
-            .next()
-            .and_then(|l| l.strip_prefix("key="))
-            .ok_or("UNITDONE body does not start with key=")?;
-        let grant = parts
-            .next()
-            .and_then(|l| l.strip_prefix("grant="))
-            .ok_or("UNITDONE body has no grant= line")?;
-        let payload = parts.next().ok_or("UNITDONE body has no payload")?;
-        Ok(UnitDone {
-            key: key.to_string(),
-            grant: grant
-                .parse()
-                .map_err(|_| format!("UNITDONE grant {grant:?} is not a number"))?,
-            payload: payload.to_string(),
+        let [key, grant, model, axiom, fingerprint, config] = read_fields(
+            "UNIT",
+            body,
+            ["key", "grant", "model", "axiom", "fingerprint", "config"],
+        )?;
+        Ok(UnitAssign {
+            key: key.value.to_string(),
+            grant: grant.parse()?,
+            model: model.value.to_string(),
+            axiom: axiom.value.to_string(),
+            fingerprint: fingerprint.hex()?,
+            config: config.value.to_string(),
         })
     }
+}
+
+/// The sealed `UNITDONE` body answering `assign` with `r`: the lease
+/// coordinates, `config` (the fingerprint `r` was computed under),
+/// `checksum` (FNV-1a of the suite section), the test count and work
+/// counters, a blank line, and the suite in [`encode_suite_body`] format.
+pub(crate) fn seal_unit_done(assign: &UnitAssign, config: u64, r: &SynthResult) -> String {
+    let suite = encode_suite_body(&r.tests);
+    seal_body(&format!(
+        "key={}\ngrant={}\nconfig={config:016x}\nchecksum={:016x}\ntests={}\n\
+         compilations={}\nretries={}\ntruncated={}\ndegraded={}\n\n{suite}",
+        assign.key,
+        assign.grant,
+        fnv1a(suite.as_bytes()),
+        r.tests.len(),
+        r.compilations,
+        r.retries,
+        r.truncated,
+        r.degraded,
+    ))
+}
+
+/// Opens a sealed `UNITDONE` body and validates it against its lease, in
+/// order: the seal and the header; the grant (another grant's answer is
+/// stale, `Ok(None)`, and the live lease stays out); then the key, the
+/// config fingerprint, the content checksum, the suite parse and the test
+/// count. A failure is an `Err` naming what mismatched, never a merge.
+pub(crate) fn open_unit_done(
+    sealed: &str,
+    assign: &UnitAssign,
+) -> Result<Option<SynthResult>, String> {
+    let (header, suite) = split_header("UNITDONE", open_body(sealed)?)?;
+    let [key, grant, config, checksum, tests, compilations, retries, truncated, degraded] =
+        read_fields(
+            "UNITDONE",
+            header,
+            [
+                "key",
+                "grant",
+                "config",
+                "checksum",
+                "tests",
+                "compilations",
+                "retries",
+                "truncated",
+                "degraded",
+            ],
+        )?;
+    if grant.parse::<u64>()? != assign.grant {
+        return Ok(None);
+    }
+    if key.value != assign.key {
+        return Err(format!(
+            "UNITDONE for {} while {} was leased",
+            key.value, assign.key
+        ));
+    }
+    let config = config.hex()?;
+    if config != assign.fingerprint {
+        return Err(format!(
+            "config fingerprint mismatch: expected {:016x}, actual {config:016x}",
+            assign.fingerprint
+        ));
+    }
+    let (checksum, actual) = (checksum.hex()?, fnv1a(suite.as_bytes()));
+    if checksum != actual {
+        return Err(format!(
+            "content checksum mismatch: expected {checksum:016x}, actual {actual:016x}"
+        ));
+    }
+    let suite = decode_suite_body(suite).ok_or("UNITDONE suite section does not parse")?;
+    let tests: usize = tests.parse()?;
+    if suite.len() != tests {
+        return Err(format!(
+            "UNITDONE declares {tests} tests but its suite holds {}",
+            suite.len()
+        ));
+    }
+    let mut r = SynthResult::carrying(suite);
+    r.compilations = compilations.parse()?;
+    r.retries = retries.parse()?;
+    r.truncated = truncated.parse()?;
+    r.degraded = degraded.parse()?;
+    Ok(Some(r))
 }
 
 /// A declined unit, worker → coordinator: the worker cannot (or will not)
@@ -495,27 +585,12 @@ impl Nack {
 
     /// Parses a `NACK` frame body.
     pub fn from_body(body: &str) -> Result<Nack, String> {
-        let mut n = Nack {
-            key: String::new(),
-            grant: 0,
-            reason: String::new(),
-        };
-        for line in body.lines().filter(|l| !l.is_empty()) {
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| format!("nack line {line:?} is not key=value"))?;
-            match k {
-                "key" => n.key = v.to_string(),
-                "grant" => {
-                    n.grant = v
-                        .parse()
-                        .map_err(|_| format!("nack grant {v:?} is not a number"))?
-                }
-                "reason" => n.reason = v.to_string(),
-                other => return Err(format!("unknown nack field {other:?}")),
-            }
-        }
-        Ok(n)
+        let [key, grant, reason] = read_fields("NACK", body, ["key", "grant", "reason"])?;
+        Ok(Nack {
+            key: key.value.to_string(),
+            grant: grant.parse()?,
+            reason: reason.value.to_string(),
+        })
     }
 }
 
@@ -546,17 +621,13 @@ impl CheckRequest {
 
     /// Parses a `CHECK` frame body.
     pub fn from_body(body: &str) -> Result<CheckRequest, String> {
-        let (header, test) = body
-            .split_once("\n\n")
-            .ok_or_else(|| "CHECK body has no blank line after the header".to_string())?;
-        let model = header
-            .strip_prefix("model=")
-            .ok_or_else(|| "CHECK body does not start with model=".to_string())?;
-        if model.is_empty() {
+        let (header, test) = split_header("CHECK", body)?;
+        let [model] = read_fields("CHECK", header, ["model"])?;
+        if model.value.is_empty() {
             return Err("CHECK request is missing the model name".to_string());
         }
         Ok(CheckRequest {
-            model: model.to_string(),
+            model: model.value.to_string(),
             test: test.to_string(),
         })
     }
@@ -584,56 +655,49 @@ pub struct CheckReply {
 impl CheckReply {
     /// Serializes to `key=value` lines.
     pub fn to_body(&self) -> String {
-        format!(
-            "fingerprint={:016x}\ncached={}\nconsistent={}\naxiom={}\ncycle={}\n",
+        verdict_body(
             self.fingerprint,
             self.cached,
-            self.consistent,
-            self.axiom,
-            self.cycle
-                .iter()
-                .map(usize::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
+            &verdict_core(self.consistent, &self.axiom, &self.cycle),
         )
     }
 
     /// Parses a `VERDICT` frame body (after [`open_body`]).
     pub fn from_body(body: &str) -> Result<CheckReply, String> {
-        let mut r = CheckReply {
-            fingerprint: 0,
-            cached: false,
-            consistent: false,
-            axiom: String::new(),
-            cycle: Vec::new(),
-        };
-        for line in body.lines().filter(|l| !l.is_empty()) {
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| format!("verdict line {line:?} is not key=value"))?;
-            let err = || format!("verdict field {k}={v:?} is malformed");
-            match k {
-                "fingerprint" => r.fingerprint = u64::from_str_radix(v, 16).map_err(|_| err())?,
-                "cached" => r.cached = v.parse().map_err(|_| err())?,
-                "consistent" => r.consistent = v.parse().map_err(|_| err())?,
-                "axiom" => r.axiom = v.to_string(),
-                "cycle" => {
-                    r.cycle = v
-                        .split(',')
-                        .filter(|p| !p.is_empty())
-                        .map(|p| p.parse().map_err(|_| err()))
-                        .collect::<Result<_, _>>()?
-                }
-                other => return Err(format!("unknown verdict field {other:?}")),
-            }
-        }
-        Ok(r)
+        let [fingerprint, cached, consistent, axiom, cycle] = read_fields(
+            "VERDICT",
+            body,
+            ["fingerprint", "cached", "consistent", "axiom", "cycle"],
+        )?;
+        Ok(CheckReply {
+            fingerprint: fingerprint.hex()?,
+            cached: cached.parse()?,
+            consistent: consistent.parse()?,
+            axiom: axiom.value.to_string(),
+            cycle: list(cycle)?,
+        })
     }
+}
+
+/// The part of a `VERDICT` body that depends on the request alone — the
+/// server caches it and adds the per-reply lines with [`verdict_body`].
+pub(crate) fn verdict_core(consistent: bool, axiom: &str, cycle: &[usize]) -> String {
+    let gids: Vec<String> = cycle.iter().map(usize::to_string).collect();
+    let cycle = gids.join(",");
+    format!("consistent={consistent}\naxiom={axiom}\ncycle={cycle}\n")
+}
+
+/// A whole `VERDICT` body: the per-reply lines, then a [`verdict_core`].
+pub(crate) fn verdict_body(fingerprint: u64, cached: bool, core: &str) -> String {
+    format!("fingerprint={fingerprint:016x}\ncached={cached}\n{core}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use litsynth_core::{parse_suite_config, suite_config, synthesize_axiom, SynthConfig};
+    use litsynth_litmus::{wire, SplitMix64};
+    use litsynth_models::Tso;
     use std::io::BufReader;
 
     #[test]
@@ -673,6 +737,23 @@ mod tests {
     }
 
     #[test]
+    fn a_header_without_a_newline_is_cut_off_at_64_bytes() {
+        // A peer that never sends `\n` must not grow the header: the
+        // reader gives up once the cap is consumed, not at end of stream.
+        let stream = vec![b'A'; 1 << 20];
+        let mut rest = &stream[..];
+        let err = read_frame(&mut rest).expect_err("no newline, no frame");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let consumed = stream.len() - rest.len();
+        assert!(consumed <= 64, "consumed {consumed} bytes");
+
+        // The longest legal header still fits: a verb, 20 digits, `\n`.
+        let longest = format!("UNITDONE {}\n", "0".repeat(20));
+        let frame = read_frame(&mut longest.as_bytes()).expect("fits the cap");
+        assert_eq!(frame, Some(("UNITDONE".to_string(), String::new())));
+    }
+
+    #[test]
     fn request_and_reply_round_trip_through_their_bodies() {
         let mut req = QueryRequest::sweep("tso", 2, 4);
         req.axioms = vec!["sc_per_loc".to_string(), "causality".to_string()];
@@ -708,24 +789,20 @@ mod tests {
         assert_eq!(Progress::from_body(&p.to_body()), Ok(p));
     }
 
-    #[test]
-    fn remote_verb_bodies_round_trip_and_reject_junk() {
-        let a = UnitAssign {
+    fn assignment() -> UnitAssign {
+        UnitAssign {
             key: "tso/causality/3".to_string(),
             grant: 42,
-            seq: 7,
-            attempt: 1,
             model: "tso".to_string(),
             axiom: "causality".to_string(),
-            bound: 3,
             fingerprint: 0xa99549ceee7966bf,
-            max_threads: 2,
-            max_addrs: 2,
-            exact_canon: true,
-            orphan_unconstrained: false,
-            max_instances: 400,
-            time_budget_ms: 0,
-        };
+            config: suite_config(&SynthConfig::new(3)),
+        }
+    }
+
+    #[test]
+    fn remote_verb_bodies_round_trip_and_reject_junk() {
+        let a = assignment();
         assert_eq!(UnitAssign::from_body(&a.to_body()), Ok(a.clone()));
         assert!(UnitAssign::from_body("key=k\nbogus=1\n").is_err());
         assert!(
@@ -733,15 +810,6 @@ mod tests {
             "key/model/axiom required"
         );
         assert!(UnitAssign::from_body(&a.to_body().replace("grant=42", "grant=x")).is_err());
-
-        let d = UnitDone {
-            key: a.key.clone(),
-            grant: 42,
-            payload: "config 00\nchecksum 00\ntests 0\n\n".to_string(),
-        };
-        assert_eq!(UnitDone::from_body(&d.to_body()), Ok(d.clone()));
-        assert!(UnitDone::from_body("grant=1\npayload").is_err());
-        assert!(UnitDone::from_body("key=k\ngrant=zzz\npayload").is_err());
 
         let n = Nack {
             key: a.key.clone(),
@@ -759,6 +827,76 @@ mod tests {
             "newlines in reasons must fold to keep the body parseable"
         );
         assert!(Nack::from_body("key=k\nwhat=1\n").is_err());
+
+        assert_eq!(read_lease_terms(&lease_terms_body(400)), Ok(400));
+        assert_eq!(read_renewal(&renewal_body(42)), Ok(42));
+        assert!(read_lease_terms(&renewal_body(42)).is_err());
+        assert!(read_renewal("grant=1\ngrant=2\n").is_err());
+    }
+
+    #[test]
+    fn unit_done_round_trips_and_rejects_stale_skewed_and_corrupt_results() {
+        let a = assignment();
+        let mut r = SynthResult::carrying(
+            synthesize_axiom(&Tso::new(), "causality", &SynthConfig::new(3)).tests,
+        );
+        r.compilations = 2;
+        r.retries = 3;
+        r.truncated = false;
+        r.degraded = 0;
+        let sealed = seal_unit_done(&a, a.fingerprint, &r);
+        let back = open_unit_done(&sealed, &a)
+            .expect("round-trips")
+            .expect("answers the live grant");
+        assert_eq!(back.compilations, 2);
+        assert_eq!(back.retries, 3);
+        assert_eq!(
+            encode_suite_body(&back.tests),
+            encode_suite_body(&r.tests),
+            "suite bytes survive the round-trip"
+        );
+
+        // A stale grant is ignored, not rejected: the live lease stays out.
+        let stale = UnitAssign {
+            grant: 43,
+            ..a.clone()
+        };
+        assert_eq!(
+            open_unit_done(&sealed, &stale).map(|r| r.is_some()),
+            Ok(false)
+        );
+
+        // Config skew: a result computed under another fingerprint is
+        // stale and must be rejected, naming both values.
+        let skewed = seal_unit_done(&a, 0x1234, &r);
+        let err = open_unit_done(&skewed, &a).expect_err("skewed result rejected");
+        assert!(
+            err.contains("a99549ceee7966bf") && err.contains("0000000000001234"),
+            "{err}"
+        );
+
+        // Corruption: flip one byte of the suite section under a valid
+        // seal — the content checksum must catch it and name the digests.
+        let flipped = seal_body(&open_body(&sealed).unwrap().replacen("%%", "%$", 1));
+        let err = open_unit_done(&flipped, &a).expect_err("corrupt result rejected");
+        assert!(err.contains("checksum mismatch"), "{err}");
+        assert!(err.contains("expected") && err.contains("actual"), "{err}");
+
+        // A test count that does not match the suite is rejected.
+        let declared = format!("tests={}\n", r.tests.len());
+        let miscounted = seal_body(&open_body(&sealed).unwrap().replacen(
+            &declared,
+            &format!("tests={}\n", r.tests.len() + 1),
+            1,
+        ));
+        let err = open_unit_done(&miscounted, &a).expect_err("miscount rejected");
+        assert!(err.contains("declares"), "{err}");
+
+        // Truncation: a torn body never yields a partial suite, sealed or
+        // not.
+        assert!(open_unit_done(&sealed[..sealed.len() / 2], &a).is_err());
+        let torn = open_body(&sealed).unwrap();
+        assert!(open_unit_done(&seal_body(&torn[..torn.len() / 2]), &a).is_err());
     }
 
     #[test]
@@ -813,7 +951,7 @@ mod tests {
         let err = open_body(&flipped).unwrap_err();
         assert!(
             err.contains("checksum mismatch") && err.contains("expected"),
-            "error must name the digests: {err}"
+            "{err}"
         );
 
         // Corrupt the trailer itself.
@@ -823,5 +961,242 @@ mod tests {
 
         // Empty payload seals and opens.
         assert_eq!(open_body(&seal_body("")), Ok(""));
+    }
+
+    /// Every body kind the wire carries, by frame verb (`RENEW` is a
+    /// worker's `LEASE`), plus the payloads inside them (`CONFIG`: a
+    /// `UNIT`'s config text, `WIRE`: a `CHECK`'s test, `SUITEBODY`: a
+    /// `SUITE`'s or `UNITDONE`'s suite section).
+    const KINDS: [&str; 14] = [
+        "QUERY",
+        "SUITE",
+        "PROGRESS",
+        "STATS",
+        "LEASE",
+        "RENEW",
+        "UNIT",
+        "UNITDONE",
+        "NACK",
+        "CHECK",
+        "VERDICT",
+        "CONFIG",
+        "WIRE",
+        "SUITEBODY",
+    ];
+
+    /// Runs the reader of `kind` on `body` (a `UNITDONE` is sealed first
+    /// and validated against `lease`).
+    fn parse(kind: &str, body: &str, lease: &UnitAssign) -> Result<(), String> {
+        match kind {
+            "QUERY" => QueryRequest::from_body(body).map(drop),
+            "SUITE" => QueryReply::from_body(body).map(drop),
+            "PROGRESS" => Progress::from_body(body).map(drop),
+            "STATS" => read_stats(body).map(drop),
+            "LEASE" => read_lease_terms(body).map(drop),
+            "RENEW" => read_renewal(body).map(drop),
+            "UNIT" => UnitAssign::from_body(body).map(drop),
+            "UNITDONE" => open_unit_done(&seal_body(body), lease).map(drop),
+            "NACK" => Nack::from_body(body).map(drop),
+            "CHECK" => CheckRequest::from_body(body).map(drop),
+            "VERDICT" => CheckReply::from_body(body).map(drop),
+            "CONFIG" => parse_suite_config(body).map(drop),
+            "WIRE" => wire::decode(body).map(drop).map_err(|e| e.to_string()),
+            "SUITEBODY" => decode_suite_body(body).map(drop).ok_or_else(String::new),
+            other => unreachable!("{other}"),
+        }
+    }
+
+    /// A header value: never empty, never a newline or a comma, but `=`,
+    /// `|`, `%` and non-ASCII are fair game.
+    fn word(rng: &mut SplitMix64) -> String {
+        const PIECES: [&str; 8] = ["a", "z", "_", "/", "7", "=", "|", "é"];
+        (0..rng.range(1, 6)).map(|_| *rng.choose(&PIECES)).collect()
+    }
+
+    /// A section after a blank line: anything, blank lines included.
+    fn text(rng: &mut SplitMix64) -> String {
+        const PIECES: [&str; 6] = ["a", "\n", "=", "%%", "é", "\n\n"];
+        (0..rng.below(12)).map(|_| *rng.choose(&PIECES)).collect()
+    }
+
+    /// One random valid message of every kind in [`KINDS`], each asserted
+    /// to round-trip through its reader.
+    fn random_messages(
+        rng: &mut SplitMix64,
+        lease: &UnitAssign,
+        suite: &litsynth_core::CanonicalSuite,
+        wire_text: &str,
+    ) -> [(&'static str, String); 14] {
+        let query = QueryRequest {
+            model: word(rng),
+            min_bound: rng.below(9),
+            max_bound: rng.below(9),
+            axioms: (0..rng.below(3)).map(|_| word(rng)).collect(),
+            budget_ms: rng.next_u64(),
+        };
+        assert_eq!(QueryRequest::from_body(&query.to_body()), Ok(query.clone()));
+        let reply = QueryReply {
+            fingerprint: rng.next_u64(),
+            tests: rng.below(99),
+            cached: rng.bool(),
+            compilations: rng.below(9),
+            retries: rng.next_u64(),
+            truncated: rng.bool(),
+            degraded: rng.below(3),
+            suite: text(rng),
+        };
+        let back = QueryReply::from_body(&reply.to_body()).expect("SUITE round-trips");
+        assert_eq!(back.to_body(), reply.to_body());
+        let progress = Progress {
+            key: word(rng),
+            tests: rng.below(99),
+            from_journal: rng.bool(),
+        };
+        assert_eq!(
+            Progress::from_body(&progress.to_body()),
+            Ok(progress.clone())
+        );
+        let names = ["queries", "cache_hits", "remote_nacks"];
+        let counters: Vec<(&str, u64)> = names[..rng.range(1, 3)]
+            .iter()
+            .map(|&name| (name, rng.next_u64()))
+            .collect();
+        let stats = stats_body(&counters);
+        let map = counters.iter().map(|&(n, v)| (n.to_string(), v)).collect();
+        assert_eq!(read_stats(&stats), Ok(map));
+        let (lease_ms, grant) = (rng.next_u64(), rng.next_u64());
+        assert_eq!(read_lease_terms(&lease_terms_body(lease_ms)), Ok(lease_ms));
+        assert_eq!(read_renewal(&renewal_body(grant)), Ok(grant));
+        let mut cfg = SynthConfig::new(rng.range(2, 6));
+        cfg.max_threads = rng.below(5);
+        cfg.exact_canon = rng.bool();
+        cfg.orphan_unconstrained = rng.bool();
+        cfg.max_instances = rng.below(1 << 20);
+        cfg.time_budget_ms = rng.next_u64();
+        let config = suite_config(&cfg);
+        let reparsed = parse_suite_config(&config).map(|c| suite_config(&c));
+        assert_eq!(reparsed, Ok(config.clone()));
+        let unit = UnitAssign {
+            key: word(rng),
+            grant,
+            model: word(rng),
+            axiom: word(rng),
+            fingerprint: rng.next_u64(),
+            config: config.clone(),
+        };
+        assert_eq!(UnitAssign::from_body(&unit.to_body()), Ok(unit.clone()));
+        let mut result = SynthResult::carrying(suite.clone());
+        result.compilations = rng.below(9);
+        result.retries = rng.next_u64();
+        result.truncated = rng.bool();
+        result.degraded = rng.below(3);
+        let done = seal_unit_done(lease, lease.fingerprint, &result);
+        let back = open_unit_done(&done, lease)
+            .expect("UNITDONE validates")
+            .expect("answers the live grant");
+        let counters = |r: &SynthResult| (r.compilations, r.retries, r.truncated, r.degraded);
+        assert_eq!(counters(&back), counters(&result));
+        assert_eq!(encode_suite_body(&back.tests), encode_suite_body(suite));
+        let nack = Nack {
+            key: word(rng),
+            grant,
+            reason: word(rng),
+        };
+        assert_eq!(Nack::from_body(&nack.to_body()), Ok(nack.clone()));
+        let check = CheckRequest {
+            model: word(rng),
+            test: text(rng),
+        };
+        assert_eq!(CheckRequest::from_body(&check.to_body()), Ok(check.clone()));
+        let verdict = CheckReply {
+            fingerprint: rng.next_u64(),
+            cached: rng.bool(),
+            consistent: rng.bool(),
+            axiom: if rng.bool() { word(rng) } else { String::new() },
+            cycle: (0..rng.below(4)).map(|_| rng.below(9)).collect(),
+        };
+        assert_eq!(
+            CheckReply::from_body(&verdict.to_body()),
+            Ok(verdict.clone())
+        );
+        [
+            ("QUERY", query.to_body()),
+            ("SUITE", reply.to_body()),
+            ("PROGRESS", progress.to_body()),
+            ("STATS", stats),
+            ("LEASE", lease_terms_body(lease_ms)),
+            ("RENEW", renewal_body(grant)),
+            ("UNIT", unit.to_body()),
+            ("UNITDONE", open_body(&done).expect("sealed").to_string()),
+            ("NACK", nack.to_body()),
+            ("CHECK", check.to_body()),
+            ("VERDICT", verdict.to_body()),
+            ("CONFIG", config),
+            ("WIRE", wire_text.to_string()),
+            ("SUITEBODY", encode_suite_body(suite)),
+        ]
+    }
+
+    /// One mutation: a bit flip, a truncation, an inserted delimiter or
+    /// non-ASCII byte, a duplicated segment, or an appended unknown key.
+    fn mutate(rng: &mut SplitMix64, bytes: &mut Vec<u8>) {
+        const INSERTS: [&[u8]; 7] = [b"=", b"\n", b",", b"|", b"\n\n", "é".as_bytes(), b"\xff"];
+        let at = rng.below(bytes.len() + 1);
+        match rng.below(5) {
+            0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
+            1 => bytes.truncate(at),
+            2 => drop(bytes.splice(at..at, rng.choose(&INSERTS).iter().copied())),
+            3 => {
+                let end = rng.range(at, bytes.len());
+                let segment = bytes[at..end].to_vec();
+                drop(bytes.splice(end..end, segment));
+            }
+            _ => bytes.extend_from_slice(b"zz_unknown=1\n"),
+        }
+    }
+
+    #[test]
+    fn seeded_fuzz_over_every_body_never_panics_and_keeps_the_field_rules() {
+        let suite = synthesize_axiom(&Tso::new(), "sc_per_loc", &SynthConfig::new(2)).tests;
+        let (test, outcome) = suite.values().next().expect("a non-empty suite");
+        let wire_text = wire::encode(test, outcome);
+        let lease = assignment();
+        for seed in [1, 2, 3] {
+            let mut rng = SplitMix64::new(seed);
+            for _ in 0..40 {
+                for (kind, body) in random_messages(&mut rng, &lease, &suite, &wire_text) {
+                    // Each field exactly once, and nothing else: a repeated
+                    // or unknown key is rejected (STATS names are open).
+                    if !matches!(kind, "CONFIG" | "WIRE" | "SUITEBODY") {
+                        let first = body.split('\n').next().expect("a first line");
+                        let repeated = format!("{first}\n{body}");
+                        assert!(parse(kind, &repeated, &lease).is_err(), "{repeated:?}");
+                        let unknown = format!("zz_unknown=1\n{body}");
+                        assert!(kind == "STATS" || parse(kind, &unknown, &lease).is_err());
+                    }
+                    // Mutants reach every reader, framed and bare, and
+                    // must never panic.
+                    for _ in 0..8 {
+                        let mut bytes = body.clone().into_bytes();
+                        for _ in 0..rng.range(1, 3) {
+                            mutate(&mut rng, &mut bytes);
+                        }
+                        let mut frame = format!("{kind} {}\n", bytes.len()).into_bytes();
+                        frame.extend_from_slice(&bytes);
+                        if rng.bool() {
+                            mutate(&mut rng, &mut frame);
+                        }
+                        let _ = read_frame(&mut &frame[..]);
+                        let _ = read_frame(&mut &bytes[..]);
+                        let text = String::from_utf8_lossy(&bytes);
+                        let _ = open_body(&text);
+                        let _ = open_unit_done(&text, &lease);
+                        for kind in KINDS {
+                            let _ = parse(kind, &text, &lease);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -25,9 +25,12 @@
 //! sweep at any mix of remote, local, and killed workers, and a partial
 //! suite is never returned.
 
-use crate::protocol::{open_body, read_frame, write_frame, Nack, UnitAssign, UnitDone};
+use crate::protocol::{
+    is_timeout, lease_terms_body, open_unit_done, read_frame, read_renewal, write_frame, Nack,
+    UnitAssign,
+};
 use crate::shard::run_unit_once;
-use litsynth_core::{decode_unit_result, ProgressEvent, SynthResult, UnitPlan};
+use litsynth_core::{suite_config, ProgressEvent, SynthResult, UnitPlan};
 use litsynth_models::MemoryModel;
 use std::collections::VecDeque;
 use std::io::{self, BufReader};
@@ -62,8 +65,8 @@ pub struct RemoteStats {
     /// `UNITDONE` frames rejected by validation (fingerprint skew,
     /// checksum mismatch, torn payload).
     pub rejected_results: u64,
-    /// `UNITDONE` frames ignored as duplicate or stale (grant no longer
-    /// live — the unit already completed or was reclaimed).
+    /// `UNITDONE` and `NACK` frames ignored as duplicate or stale (grant
+    /// no longer live — the unit already completed or was reclaimed).
     pub duplicate_unitdone: u64,
     /// Units routed to local compute after remote attempts were
     /// exhausted or no live worker remained.
@@ -243,24 +246,15 @@ impl Batch {
             return None;
         }
         st.granted[idx] = Some(grant);
-        let attempt = st.tries[idx];
         drop(st);
         let p = &self.plans[idx];
         Some(UnitAssign {
             key: p.unit.key.to_string(),
             grant,
-            seq: p.unit.seq,
-            attempt,
             model: self.model.clone(),
             axiom: p.axiom.to_string(),
-            bound: p.bound,
             fingerprint: p.unit.fingerprint,
-            max_threads: p.cfg.max_threads,
-            max_addrs: p.cfg.max_addrs,
-            exact_canon: p.cfg.exact_canon,
-            orphan_unconstrained: p.cfg.orphan_unconstrained,
-            max_instances: p.cfg.max_instances,
-            time_budget_ms: p.cfg.time_budget_ms,
+            config: suite_config(&p.cfg),
         })
     }
 
@@ -446,7 +440,7 @@ pub(crate) fn serve_worker(
 ) -> io::Result<()> {
     {
         let mut w = lock(writer);
-        write_frame(&mut *w, "LEASE", &format!("lease_ms={}\n", pool.lease_ms))?;
+        write_frame(&mut *w, "LEASE", &lease_terms_body(pool.lease_ms))?;
     }
     {
         let mut st = lock(&pool.state);
@@ -540,12 +534,7 @@ fn police_lease(
         let frame = match read_frame(reader) {
             Ok(Some(f)) => f,
             Ok(None) => return LeaseEnd::Dead,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
+            Err(e) if is_timeout(&e) => {
                 if Instant::now() > deadline {
                     c.lease_expiries.fetch_add(1, Ordering::Relaxed);
                     return LeaseEnd::Expired;
@@ -556,12 +545,7 @@ fn police_lease(
         };
         match frame.0.as_str() {
             "LEASE" => {
-                let renewed = frame
-                    .1
-                    .lines()
-                    .find_map(|l| l.strip_prefix("grant="))
-                    .and_then(|g| g.parse::<u64>().ok());
-                if renewed == Some(assign.grant) {
+                if read_renewal(&frame.1) == Ok(assign.grant) {
                     deadline = Instant::now() + lease;
                 }
             }
@@ -575,47 +559,31 @@ fn police_lease(
                 }
                 Err(_) => return LeaseEnd::Dead,
             },
-            "UNITDONE" => {
-                let verdict = open_body(&frame.1)
-                    .and_then(UnitDone::from_body)
-                    .and_then(|done| {
-                        if done.grant != assign.grant {
-                            return Err(String::new()); // stale, not corrupt
-                        }
-                        if done.key != assign.key {
-                            return Err(format!(
-                                "UNITDONE for {} while {} was leased",
-                                done.key, assign.key
-                            ));
-                        }
-                        decode_unit_result(&done.payload, assign.fingerprint)
-                    });
-                match verdict {
-                    Ok(result) => {
-                        if task.batch.complete_remote(task.idx, assign.grant, result) {
-                            c.completed_remote.fetch_add(1, Ordering::Relaxed);
-                            return LeaseEnd::Done;
-                        }
-                        c.duplicate_unitdone.fetch_add(1, Ordering::Relaxed);
-                        return LeaseEnd::Done;
-                    }
-                    Err(reason) if reason.is_empty() => {
-                        // A duplicate or reclaimed-lease straggler:
-                        // ignore it, the live lease is still out.
+            "UNITDONE" => match open_unit_done(&frame.1, assign) {
+                Ok(Some(result)) => {
+                    if task.batch.complete_remote(task.idx, assign.grant, result) {
+                        c.completed_remote.fetch_add(1, Ordering::Relaxed);
+                    } else {
                         c.duplicate_unitdone.fetch_add(1, Ordering::Relaxed);
                     }
-                    Err(reason) => {
-                        c.rejected_results.fetch_add(1, Ordering::Relaxed);
-                        let mut w = lock(writer);
-                        let _ = write_frame(
-                            &mut *w,
-                            "ERR",
-                            &format!("rejected UNITDONE for {}: {reason}", assign.key),
-                        );
-                        return LeaseEnd::Failed;
-                    }
+                    return LeaseEnd::Done;
                 }
-            }
+                // A duplicate or reclaimed-lease straggler: ignore it, the
+                // live lease is still out.
+                Ok(None) => {
+                    c.duplicate_unitdone.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(reason) => {
+                    c.rejected_results.fetch_add(1, Ordering::Relaxed);
+                    let mut w = lock(writer);
+                    let _ = write_frame(
+                        &mut *w,
+                        "ERR",
+                        &format!("rejected UNITDONE for {}: {reason}", assign.key),
+                    );
+                    return LeaseEnd::Failed;
+                }
+            },
             _ => return LeaseEnd::Dead, // protocol violation mid-lease
         }
     }

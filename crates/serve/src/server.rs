@@ -23,7 +23,8 @@
 use crate::cache::{suite_fingerprint, CacheStats, SuiteCache};
 use crate::models::{self, ModelOp};
 use crate::protocol::{
-    read_frame, seal_body, write_frame, CheckRequest, Progress, QueryReply, QueryRequest,
+    is_timeout, read_frame, seal_body, stats_body, verdict_body, verdict_core, write_frame,
+    CheckRequest, Progress, QueryReply, QueryRequest,
 };
 use crate::remote::{RemotePool, RemoteStats};
 use crate::shard::{run_distributed, ShardRunStats};
@@ -277,12 +278,7 @@ fn handle_conn(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     loop {
         let frame = match read_frame(&mut reader) {
             Ok(f) => f,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
+            Err(e) if is_timeout(&e) => {
                 if shared.stop.load(Ordering::SeqCst) {
                     return Ok(());
                 }
@@ -305,7 +301,7 @@ fn handle_conn(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         last_frame = std::time::Instant::now();
         match verb.as_str() {
             "PING" => send("PONG", "")?,
-            "STATS" => send("STATS", &stats_body(shared))?,
+            "STATS" => send("STATS", &stats_body(&stats_table(shared)))?,
             "QUERY" => match handle_query(shared, &body, &writer) {
                 Ok(reply) => send("SUITE", &seal_body(&reply.to_body()))?,
                 Err(msg) => send("ERR", &msg)?,
@@ -329,40 +325,35 @@ fn handle_conn(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     }
 }
 
-fn stats_body(shared: &Shared) -> String {
+/// The `STATS` counters, by name, in reply order.
+fn stats_table(shared: &Shared) -> [(&'static str, u64); 23] {
     let s = stats_of(shared);
-    format!(
-        "queries={}\ncoalesced={}\ncompilations={}\nsolver_retries={}\n\
-         cache_hits={}\ncache_misses={}\ncache_evictions={}\ncache_entries={}\ncache_bytes={}\n\
-         remote_workers_connected={}\nremote_workers_live={}\nremote_units={}\n\
-         remote_completed={}\nremote_reclaimed_leases={}\nremote_lease_expiries={}\n\
-         remote_nacks={}\nremote_rejected_results={}\nremote_duplicate_unitdone={}\n\
-         remote_degraded_to_local={}\nidle_reaped={}\ncheck_requests={}\n\
-         check_cache_hits={}\ncheck_inconsistent={}\n",
-        s.queries,
-        s.coalesced,
-        s.compilations,
-        s.solver_retries,
-        s.cache.hits,
-        s.cache.misses,
-        s.cache.evictions,
-        s.cache.entries,
-        s.cache.bytes,
-        s.remote.workers_connected,
-        s.remote.workers_live,
-        s.remote.units_remote,
-        s.remote.completed_remote,
-        s.remote.reclaimed_leases,
-        s.remote.lease_expiries,
-        s.remote.nacks,
-        s.remote.rejected_results,
-        s.remote.duplicate_unitdone,
-        s.remote.degraded_to_local,
-        s.idle_reaped,
-        s.check_requests,
-        s.check_cache_hits,
-        s.check_inconsistent,
-    )
+    let (cache, remote) = (s.cache, s.remote);
+    [
+        ("queries", s.queries),
+        ("coalesced", s.coalesced),
+        ("compilations", s.compilations),
+        ("solver_retries", s.solver_retries),
+        ("cache_hits", cache.hits),
+        ("cache_misses", cache.misses),
+        ("cache_evictions", cache.evictions),
+        ("cache_entries", cache.entries as u64),
+        ("cache_bytes", cache.bytes as u64),
+        ("remote_workers_connected", remote.workers_connected),
+        ("remote_workers_live", remote.workers_live),
+        ("remote_units", remote.units_remote),
+        ("remote_completed", remote.completed_remote),
+        ("remote_reclaimed_leases", remote.reclaimed_leases),
+        ("remote_lease_expiries", remote.lease_expiries),
+        ("remote_nacks", remote.nacks),
+        ("remote_rejected_results", remote.rejected_results),
+        ("remote_duplicate_unitdone", remote.duplicate_unitdone),
+        ("remote_degraded_to_local", remote.degraded_to_local),
+        ("idle_reaped", s.idle_reaped),
+        ("check_requests", s.check_requests),
+        ("check_cache_hits", s.check_cache_hits),
+        ("check_inconsistent", s.check_inconsistent),
+    ]
 }
 
 /// Answers a `CHECK`: parse, consult the fingerprint-keyed verdict
@@ -375,14 +366,13 @@ fn handle_check(shared: &Shared, body: &str) -> Result<String, String> {
     c.check_requests.fetch_add(1, Ordering::Relaxed);
     let req = CheckRequest::from_body(body)?;
     let fingerprint = req.fingerprint();
-    if let Some((core, _)) = shared.check_cache.get(fingerprint) {
+    // The cache weighs each verdict by its `consistent` bit.
+    if let Some((core, consistent)) = shared.check_cache.get(fingerprint) {
         c.check_cache_hits.fetch_add(1, Ordering::Relaxed);
-        if core.starts_with("consistent=false") {
+        if consistent == 0 {
             c.check_inconsistent.fetch_add(1, Ordering::Relaxed);
         }
-        return Ok(format!(
-            "fingerprint={fingerprint:016x}\ncached=true\n{core}"
-        ));
+        return Ok(verdict_body(fingerprint, true, &core));
     }
     let (test, outcome) =
         litsynth_litmus::wire::decode(&req.test).map_err(|e| format!("bad CHECK test: {e}"))?;
@@ -412,20 +402,12 @@ fn handle_check(shared: &Shared, body: &str) -> Result<String, String> {
     if !consistent {
         c.check_inconsistent.fetch_add(1, Ordering::Relaxed);
     }
-    let core = format!(
-        "consistent={consistent}\naxiom={axiom}\ncycle={}\n",
-        cycle
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(","),
-    );
+    let core = verdict_core(consistent, &axiom, &cycle);
+    let body = verdict_body(fingerprint, false, &core);
     shared
         .check_cache
-        .put(fingerprint, Arc::new(core.clone()), usize::from(consistent));
-    Ok(format!(
-        "fingerprint={fingerprint:016x}\ncached=false\n{core}"
-    ))
+        .put(fingerprint, Arc::new(core), usize::from(consistent));
+    Ok(body)
 }
 
 /// Plans a request against its model: validates the axiom set and builds
@@ -439,27 +421,19 @@ struct Plan<'a> {
 impl ModelOp for Plan<'_> {
     type Out = Result<Vec<UnitPlan>, String>;
     fn run<M: MemoryModel + Sync>(self, model: &M) -> Self::Out {
-        let axioms: Vec<&'static str> = if self.req.axioms.is_empty() {
-            model.axioms().to_vec()
+        // `plan_query` plans in model order, not request order: the unit
+        // list (and with it the fingerprint and the merge) must not depend
+        // on how the client spelled the set.
+        let requested: Vec<&'static str> = self
+            .req
+            .axioms
+            .iter()
+            .map(|a| models::resolve_axiom(model, a))
+            .collect::<Result<_, _>>()?;
+        let axioms: &[&'static str] = if requested.is_empty() {
+            model.axioms()
         } else {
-            for a in &self.req.axioms {
-                if !model.axioms().contains(&a.as_str()) {
-                    return Err(format!(
-                        "model {} has no axiom {a:?} (axioms: {})",
-                        self.req.model,
-                        model.axioms().join(", ")
-                    ));
-                }
-            }
-            // Model order, not request order: the unit list (and with it
-            // the fingerprint and the merge) must not depend on how the
-            // client spelled the set.
-            model
-                .axioms()
-                .iter()
-                .copied()
-                .filter(|a| self.req.axioms.iter().any(|w| w == a))
-                .collect()
+            &requested
         };
         let cfg = &self.shared.cfg;
         let (journal, fault, progress, budget) = (
@@ -470,7 +444,7 @@ impl ModelOp for Plan<'_> {
         );
         Ok(plan_query(
             model,
-            &axioms,
+            axioms,
             self.req.min_bound..=self.req.max_bound,
             move |n| {
                 let mut c = SynthConfig::new(n)

@@ -3,8 +3,8 @@
 //!
 //! A worker session is `HELLO` → `LEASE lease_ms=N` (the coordinator's
 //! terms) → a stream of `UNIT` assignments. For each assignment the
-//! worker rebuilds the query config from the frame's suite-relevant
-//! fields, recomputes the config fingerprint, and **refuses skew**: an
+//! worker rebuilds the query config from the frame's suite-config text,
+//! recomputes the config fingerprint, and **refuses skew**: an
 //! assignment whose fingerprint this worker's code cannot reproduce is
 //! `NACK`ed, never run — a mixed-version fleet degrades loudly instead
 //! of corrupting suites. While a unit runs, the worker renews its lease
@@ -20,14 +20,14 @@
 //! payload corruption.
 
 use crate::models::{self, ModelOp};
-use crate::protocol::{read_frame, seal_body, write_frame, Nack, UnitAssign, UnitDone};
-use litsynth_core::{
-    config_fingerprint, encode_unit_result, run_unit, SynthConfig, SynthResult, UnitPlan,
+use crate::protocol::{
+    is_timeout, read_frame, read_lease_terms, renewal_body, seal_unit_done, write_frame, Nack,
+    UnitAssign,
 };
+use litsynth_core::{config_fingerprint, parse_suite_config, synthesize_axiom, SynthResult};
 use litsynth_litmus::SplitMix64;
 use litsynth_models::MemoryModel;
-use litsynth_portfolio::WorkUnit;
-use std::io::{self, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -151,22 +151,13 @@ fn session(
     let lease_ms = loop {
         match read_frame(&mut reader) {
             Ok(Some((verb, body))) if verb == "LEASE" => {
-                let Some(ms) = body
-                    .lines()
-                    .find_map(|l| l.strip_prefix("lease_ms="))
-                    .and_then(|v| v.parse::<u64>().ok())
-                else {
+                let Ok(ms) = read_lease_terms(&body) else {
                     return true;
                 };
                 break ms.max(1);
             }
             Ok(Some(_)) | Ok(None) => return true,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
+            Err(e) if is_timeout(&e) => {
                 if stop.load(Ordering::SeqCst) {
                     return true;
                 }
@@ -178,12 +169,7 @@ fn session(
         let frame = match read_frame(&mut reader) {
             Ok(Some(f)) => f,
             Ok(None) => return true,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
+            Err(e) if is_timeout(&e) => {
                 if stop.load(Ordering::SeqCst) {
                     return true;
                 }
@@ -262,12 +248,7 @@ fn run_assignment(
         Some(FaultKind::WrongFingerprint) => assign.fingerprint ^ 1,
         _ => assign.fingerprint,
     };
-    let done = UnitDone {
-        key: assign.key.clone(),
-        grant: assign.grant,
-        payload: encode_unit_result(fingerprint, &result),
-    };
-    let mut sealed = seal_body(&done.to_body());
+    let mut sealed = seal_unit_done(assign, fingerprint, &result);
     if matches!(kind, Some(FaultKind::CorruptBody)) {
         // Flip one payload byte; the `%%` test separator is always there.
         sealed = sealed.replacen("%%", "%$", 1);
@@ -298,15 +279,9 @@ impl ModelOp for RunAssign<'_> {
     fn run<M: MemoryModel + Sync>(self, model: &M) -> Self::Out {
         let a = self.assign;
         let axiom = models::resolve_axiom(model, &a.axiom)?;
-        let mut sc = SynthConfig::new(a.bound)
+        let sc = parse_suite_config(&a.config)?
             .with_threads(self.cfg.unit_threads)
             .with_cube_bits(self.cfg.cube_bits);
-        sc.max_threads = a.max_threads;
-        sc.max_addrs = a.max_addrs;
-        sc.exact_canon = a.exact_canon;
-        sc.orphan_unconstrained = a.orphan_unconstrained;
-        sc.max_instances = a.max_instances;
-        sc.time_budget_ms = a.time_budget_ms;
         let local = config_fingerprint(model.name(), axiom, &sc);
         if local != a.fingerprint {
             return Err(format!(
@@ -314,17 +289,8 @@ impl ModelOp for RunAssign<'_> {
                 a.fingerprint
             ));
         }
-        let plan = UnitPlan {
-            unit: WorkUnit {
-                key: a.key.as_str().into(),
-                fingerprint: a.fingerprint,
-                seq: a.seq,
-            },
-            axiom,
-            bound: a.bound,
-            cfg: sc,
-        };
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_unit(model, &plan)))
+        let run = || synthesize_axiom(model, axiom, &sc);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
             .map_err(|_| format!("unit {} panicked on this worker", a.key))
     }
 }
@@ -352,7 +318,7 @@ fn run_with_renewals(
                 Ok(out) => return out,
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     if renew {
-                        let _ = write_frame(writer, "LEASE", &format!("grant={}\n", assign.grant));
+                        let _ = write_frame(writer, "LEASE", &renewal_body(assign.grant));
                     }
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
