@@ -18,8 +18,9 @@
 //!
 //! `experiments remote [max_bound]` exercises the multi-host tier over
 //! loopback: a no-fault leg (coordinator + 2 workers, everything remote,
-//! nothing rejected, declined or degraded) and a kill leg (one worker
-//! dies mid-unit; its lease is reclaimed and the unit re-run), asserting
+//! nothing rejected, declined or degraded) and a kill leg (both workers
+//! die on one unit's key; the leases are reclaimed and that unit degrades
+//! to the coordinator's shard threads), asserting
 //! byte identity against the direct sweep in both and writing the
 //! counters to `BENCH_synth.json` (CI's remote-smoke greps them).
 //! Workers run as real `litsynth-serve worker` processes when the sibling
@@ -1071,6 +1072,12 @@ fn remote(bound: usize) {
     assert!(
         kill.reclaimed_leases >= 1,
         "the killed worker's lease must be reclaimed: {kill:?}"
+    );
+    // Every worker dies on the kill key, so that unit can never complete
+    // remotely: it must degrade and run on the coordinator's shard threads.
+    assert!(
+        kill.degraded_to_local >= 1,
+        "the kill key's unit must degrade to local compute: {kill:?}"
     );
     println!(
         "kill: {kill_ms:.1} ms, {} leases reclaimed, {} degraded to local — bytes unchanged",

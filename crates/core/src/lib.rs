@@ -36,7 +36,7 @@ pub use relax::{applications, apply, Application};
 pub use subtest::{contains_subtest, covering_subtests, program_key};
 pub use symbolic::{vocabulary, ProgressEvent, ProgressSink, Shape, SymbolicTest, SynthConfig};
 pub use synth::{
-    merge_unit_suites, plan_query, plan_units, run_unit, synthesize_axiom, synthesize_union,
-    synthesize_union_up_to, synthesize_union_up_to_with_stats, CanonicalSuite, SweepStats,
-    SynthResult, UnitPlan, WorkerStats,
+    finish_unit, merge_unit_suites, plan_query, plan_units, run_unit, synthesize_axiom,
+    synthesize_union, synthesize_union_up_to, synthesize_union_up_to_with_stats, CanonicalSuite,
+    SweepStats, SynthResult, UnitPlan, WorkerStats,
 };

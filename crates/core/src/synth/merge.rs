@@ -1,4 +1,4 @@
-//! Merging: the representative rule, per-query merge, and finishing a query.
+//! Merging: the representative rule, per-query merge, and finishing a unit.
 
 use super::cube::CubeRun;
 use super::{CanonicalSuite, SynthResult};
@@ -30,8 +30,21 @@ pub(super) fn insert_dedup(
     }
 }
 
+/// Finishes one unit's result, wherever it was computed (a local run, a
+/// journal replay, or a remote worker's answer): cross-checks it
+/// ([`SynthConfig::cross_check`]), journals it if it is complete, and
+/// reports it to `cfg`'s progress sink. Every query a sweep runs is
+/// finished here, and so is every unit a serving coordinator replays from
+/// its journal or accepts from a worker, so a unit is journaled and
+/// reported the same way whoever ran it.
+pub fn finish_unit<M: MemoryModel>(model: &M, axiom: &str, cfg: &SynthConfig, r: &SynthResult) {
+    cross_check_suite(model, axiom, cfg, r);
+    record_if_clean(model.name(), axiom, cfg, r);
+    emit_progress(model.name(), axiom, cfg, r);
+}
+
 /// Reports one completed query to `cfg`'s progress sink, if any.
-pub(super) fn emit_progress(model_name: &str, axiom: &str, cfg: &SynthConfig, r: &SynthResult) {
+fn emit_progress(model_name: &str, axiom: &str, cfg: &SynthConfig, r: &SynthResult) {
     if let Some(sink) = &cfg.progress {
         sink.emit(&crate::symbolic::ProgressEvent {
             key: query_key(model_name, axiom, cfg.events),
@@ -104,12 +117,7 @@ pub(super) fn journal_hit_result(tests: CanonicalSuite) -> SynthResult {
 /// and the checker may find the outcome observable (the paper's §4.2 /
 /// Fig. 5c class). The engine keeps emitting them; they are the one
 /// allowed divergence.
-pub(super) fn cross_check_suite<M: MemoryModel>(
-    model: &M,
-    axiom: &str,
-    cfg: &SynthConfig,
-    r: &SynthResult,
-) {
+fn cross_check_suite<M: MemoryModel>(model: &M, axiom: &str, cfg: &SynthConfig, r: &SynthResult) {
     if !cfg.cross_check {
         return;
     }
@@ -137,7 +145,7 @@ pub(super) fn writes_one_address_thrice(test: &LitmusTest) -> bool {
 /// Journals `r` if it is complete: not truncated, no degraded workers, and
 /// a journal is configured. Partial suites are deliberately never
 /// recorded — a resume must only ever skip work whose output is exact.
-pub(super) fn record_if_clean(model_name: &str, axiom: &str, cfg: &SynthConfig, r: &SynthResult) {
+fn record_if_clean(model_name: &str, axiom: &str, cfg: &SynthConfig, r: &SynthResult) {
     let Some(journal) = &cfg.journal else {
         return;
     };
@@ -150,11 +158,11 @@ pub(super) fn record_if_clean(model_name: &str, axiom: &str, cfg: &SynthConfig, 
     }
 }
 
-/// Merges per-unit suites *in `seq` order* into the sweep union.
+/// Merges per-unit suites *in plan order* into the sweep union.
 ///
 /// Determinism: [`synthesize_union_up_to`](super::synthesize_union_up_to)
 /// builds its union with this same first-wins fold over its per-query
-/// suites in (bound, axiom) order — the units' `seq` order — so a sharded
+/// suites in (bound, axiom) order — the units' plan order — so a sharded
 /// sweep serves byte-identical suites no matter which shard ran which
 /// unit. (Cross-bound canonical keys never collide: every test has exactly
 /// its bound's event count.)

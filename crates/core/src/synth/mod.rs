@@ -78,8 +78,8 @@ use cube::run_tasks;
 use litsynth_litmus::{LitmusTest, Outcome};
 use litsynth_models::MemoryModel;
 use litsynth_portfolio::VaultStats;
-pub use merge::merge_unit_suites;
-use merge::{cross_check_suite, emit_progress, journal_hit_result, merge_query, record_if_clean};
+pub use merge::{finish_unit, merge_unit_suites};
+use merge::{journal_hit_result, merge_query};
 use plan::{plan, static_axiom, Plan};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -252,9 +252,7 @@ fn synthesize<M: MemoryModel + Sync>(
                 Some(tests) => journal_hit_result(tests),
                 None => merge_query(runs.by_ref().take(q.tasks).collect()),
             };
-            cross_check_suite(model, q.axiom, cfg, &r);
-            record_if_clean(model.name(), q.axiom, cfg, &r);
-            emit_progress(model.name(), q.axiom, cfg, &r);
+            finish_unit(model, q.axiom, cfg, &r);
             (q.axiom, r)
         })
         .collect();
@@ -403,24 +401,21 @@ pub fn synthesize_union_up_to_with_stats<M: MemoryModel + Sync>(
 
 /// One shard-claimable unit of a sweep: a single (axiom, bound) query with
 /// its fingerprinted [`WorkUnit`](litsynth_portfolio::WorkUnit) identity
-/// and the config to run it under. The unit's `seq` is its position in the
-/// sweep's deterministic merge order.
+/// and the config to run it under (whose `events` is the unit's bound).
 #[derive(Clone, Debug)]
 pub struct UnitPlan {
-    /// The unit's claimable identity (key, config fingerprint, merge seq).
+    /// The unit's claimable identity (key, config fingerprint).
     pub unit: litsynth_portfolio::WorkUnit,
     /// The query's axiom.
     pub axiom: &'static str,
-    /// The query's event bound.
-    pub bound: usize,
     /// The config the unit runs under.
     pub cfg: SynthConfig,
 }
 
 /// Plans a sweep as independent work units, in deterministic merge order:
-/// bounds ascending, each bound's axioms in model order, `seq` numbering
-/// the lot. The shard layer hands these out (in any order, to any worker)
-/// and [`merge_unit_suites`] reassembles the results by `seq` — the merge
+/// bounds ascending, each bound's axioms in model order. The shard layer
+/// hands these out (in any order, to any worker) and [`merge_unit_suites`]
+/// reassembles the results in plan order — the merge
 /// then matches [`synthesize_union_up_to`]'s bound-then-axiom loop
 /// exactly, which is what makes served suites byte-identical to a direct
 /// sweep.
@@ -446,15 +441,12 @@ pub fn plan_query<M: MemoryModel>(
     for bound in bounds {
         let cfg = mk_cfg(bound);
         for &axiom in model.axioms().iter().filter(|a| axioms.contains(a)) {
-            let seq = units.len();
             units.push(UnitPlan {
                 unit: litsynth_portfolio::WorkUnit {
                     key: query_key(model.name(), axiom, bound).into(),
                     fingerprint: config_fingerprint(model.name(), axiom, &cfg),
-                    seq,
                 },
                 axiom,
-                bound,
                 cfg: cfg.clone(),
             });
         }

@@ -1,12 +1,11 @@
 //! Work units: the independent (axiom, bound) queries of a sweep.
 //!
 //! A [`WorkUnit`] names one (axiom, bound) query of a sweep: its journal
-//! key, its config fingerprint (the network-visible cache key — see
-//! `litsynth_core::journal::config_fingerprint`), and its position in the
-//! sweep's deterministic merge order. Units carry no work themselves; the
-//! serving layer pairs each unit with the state needed to run it and
-//! merges results by `seq`, never by completion order, which is what keeps
-//! sharded suites byte-identical to a direct sweep.
+//! key and its config fingerprint (the network-visible cache key — see
+//! `litsynth_core::journal::config_fingerprint`). Units carry no work
+//! themselves; the serving layer pairs each unit with the state needed to
+//! run it and merges results in plan order, never by completion order,
+//! which is what keeps sharded suites byte-identical to a direct sweep.
 
 use std::sync::Arc;
 
@@ -18,7 +17,4 @@ pub struct WorkUnit {
     /// The query's config fingerprint — two units with equal keys and
     /// fingerprints provably produce the same canonical suite.
     pub fingerprint: u64,
-    /// Position in the sweep's deterministic merge order (bound-ascending,
-    /// axiom order within a bound).
-    pub seq: usize,
 }

@@ -202,7 +202,6 @@ mod tests {
         let unit = |key: &str, fp: u64| WorkUnit {
             key: key.into(),
             fingerprint: fp,
-            seq: 0,
         };
         let a = suite_fingerprint([unit("tso/sc_per_loc/2", 7)]);
         assert_eq!(a, suite_fingerprint([unit("tso/sc_per_loc/2", 7)]));

@@ -1,47 +1,26 @@
 //! A blocking client for the serve protocol, hardened against the
 //! network: read/write timeouts (a stalled server surfaces as a typed
-//! [`ClientError::Timeout`], never a hang), connect retry with
-//! exponential backoff plus deterministic jitter, and an FNV integrity
-//! check on every `SUITE` body (a bit flipped in transit is rejected
-//! with the expected/actual digests, never parsed).
+//! [`ClientError::Timeout`], never a hang) and an FNV integrity check on
+//! every `SUITE` body (a bit flipped in transit is rejected with the
+//! expected/actual digests, never parsed).
 
 use crate::protocol::{
     is_timeout, open_body, read_frame, read_stats, write_frame, CheckReply, CheckRequest, Progress,
     QueryReply, QueryRequest,
 };
 use litsynth_core::{decode_suite_body, CanonicalSuite};
-use litsynth_litmus::{wire, LitmusTest, Outcome, SplitMix64};
+use litsynth_litmus::{wire, LitmusTest, Outcome};
 use std::collections::BTreeMap;
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// Client socket knobs. Explicit fields, never environment variables.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ClientConfig {
     /// Read/write timeout per socket operation, in milliseconds; `0`
     /// disables timeouts (a cold query may legitimately take minutes).
     pub io_timeout_ms: u64,
-    /// Extra connect attempts after the first fails.
-    pub connect_retries: u32,
-    /// First retry delay.
-    pub connect_backoff_ms: u64,
-    /// Retry delay cap.
-    pub connect_backoff_max_ms: u64,
-    /// Seed for the deterministic retry jitter.
-    pub jitter_seed: u64,
-}
-
-impl Default for ClientConfig {
-    fn default() -> ClientConfig {
-        ClientConfig {
-            io_timeout_ms: 0,
-            connect_retries: 0,
-            connect_backoff_ms: 100,
-            connect_backoff_max_ms: 2_000,
-            jitter_seed: 1,
-        }
-    }
 }
 
 /// Why a client call failed — the wire's failure modes kept distinct so
@@ -108,35 +87,17 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects with default knobs (no timeouts, no retries).
+    /// Connects with default knobs (no timeouts).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         Client::connect_with(addr, &ClientConfig::default())
     }
 
-    /// Connects under `cfg`: failed attempts are retried with
-    /// exponential backoff plus jitter, and the socket gets `cfg`'s
-    /// read/write timeouts.
+    /// Connects under `cfg`: the socket gets `cfg`'s read/write timeouts.
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         cfg: &ClientConfig,
     ) -> Result<Client, ClientError> {
-        let mut rng = SplitMix64::new(cfg.jitter_seed);
-        let mut backoff = cfg.connect_backoff_ms.max(1);
-        let mut attempt = 0;
-        let writer = loop {
-            match TcpStream::connect(&addr) {
-                Ok(s) => break s,
-                Err(e) if attempt >= cfg.connect_retries => {
-                    return Err(ClientError::from_io(e, "connect"));
-                }
-                Err(_) => {
-                    let jitter = rng.next_u64() % (backoff / 2 + 1);
-                    std::thread::sleep(Duration::from_millis(backoff + jitter));
-                    backoff = (backoff * 2).min(cfg.connect_backoff_max_ms.max(1));
-                    attempt += 1;
-                }
-            }
-        };
+        let writer = TcpStream::connect(addr).map_err(|e| ClientError::from_io(e, "connect"))?;
         writer.set_nodelay(true).map_err(ClientError::Io)?;
         if cfg.io_timeout_ms > 0 {
             let t = Some(Duration::from_millis(cfg.io_timeout_ms));

@@ -11,10 +11,12 @@
 //!   (key, [`litsynth_core::config_fingerprint`]) unit list.
 //! * [`shard`] — the cold path: (axiom, bound) units claimed from one
 //!   shared counter by spawned shard threads, each unit run once (its cube
-//!   attempts retry inside it), and merged in seq order.
+//!   attempts retry inside it), and merged in plan order. It is the one
+//!   place a unit runs locally, remote-degraded units included.
 //! * [`remote`] — the multi-host tier: units leased to remote workers
-//!   under deadlines, reclaimed on expiry, validated on return, and
-//!   degraded to local compute when the fleet thins out.
+//!   under deadlines, reclaimed on expiry, validated on return, and handed
+//!   back to the shard threads when the fleet thins out. It only leases:
+//!   [`litsynth_core::finish_unit`] finishes every unit, wherever it ran.
 //! * [`worker`] — the other end of the lease: `HELLO`, run, renew, ship
 //!   the result bytes back (or `NACK` a config it can't reproduce).
 //! * [`server`] / [`client`] — the two ends of the wire.
@@ -43,5 +45,5 @@ pub use litsynth_core::plan_query;
 pub use protocol::{CheckReply, CheckRequest, Progress, QueryReply, QueryRequest};
 pub use remote::{RemotePool, RemoteStats};
 pub use server::{ServeConfig, Server, ServerStats};
-pub use shard::{run_distributed, run_sharded, sharded_union, ShardRunStats};
+pub use shard::{run_distributed, run_sharded, ShardRunStats};
 pub use worker::{run_worker, FaultKind, WorkerConfig, WorkerFault, WorkerHandle};

@@ -9,10 +9,12 @@
 //!    after a restart the cache is cold but every journaled unit replays
 //!    with zero compilations; the rebuilt body is re-cached.
 //! 3. **Shard layer** ([`crate::shard`]) — genuinely cold units are
-//!    claimed from one shared counter by spawned shard threads (or
-//!    leased to remote workers, [`crate::remote`]), each run once,
-//!    streaming one `PROGRESS` frame per completed unit, and merged in
-//!    seq order so the served suite is byte-identical to a direct
+//!    leased to remote workers when any are live ([`crate::remote`]);
+//!    the rest, and any unit that degrades out of the remote tier, are
+//!    claimed from one shared counter by spawned shard threads. Each unit
+//!    runs once and streams one `PROGRESS` frame when it is finished, and
+//!    the results merge in plan order so the served suite is
+//!    byte-identical to a direct
 //!    [`litsynth_core::synthesize_union_up_to`] call.
 //!
 //! Identical concurrent cold queries coalesce: one connection computes,
@@ -477,7 +479,7 @@ impl ModelOp for Execute<'_> {
             self.request_model,
             self.plans,
             self.shards,
-            Some(self.pool),
+            self.pool,
         )
     }
 }

@@ -3,10 +3,12 @@
 //! A cold query is planned as independent (axiom, bound) units
 //! ([`litsynth_core::UnitPlan`]). [`run_sharded`] spawns
 //! `min(shards, units)` scoped threads; each takes the next unit index
-//! from one shared counter and runs that unit exactly once, as the remote
-//! tier's local fallback does. Cube attempts retry inside the unit
-//! ([`litsynth_core::run_unit`] runs the resilient portfolio, the engine's
-//! only retry layer); outside them a unit only plans, merges and
+//! from one shared counter and runs that unit exactly once. It is the one
+//! way a unit runs locally: [`run_distributed`] sends it every unit when
+//! no remote worker is live, and otherwise the units that degraded out of
+//! the remote tier ([`crate::remote`]). Cube attempts retry inside the
+//! unit ([`litsynth_core::run_unit`] runs the resilient portfolio, the
+//! engine's only retry layer); outside them a unit only plans, merges and
 //! finishes, so a panic there would recur on any retry. One
 //! `catch_unwind` turns it into an `Err` naming the unit.
 //!
@@ -14,18 +16,17 @@
 //! that thread is the client's connection thread, and running one-unit
 //! queries there raised serve-cold's peak memory by 40% (DESIGN.md §4).
 //!
-//! Determinism: results are returned by the unit's `seq`, never by
-//! completion order, and the merge is
-//! [`litsynth_core::merge_unit_suites`] over that fixed order — so the
-//! shard count can change *which thread* runs a unit but never the served
-//! bytes.
+//! Determinism: results are returned in plan order, never by completion
+//! order, and the merge is [`litsynth_core::merge_unit_suites`] over that
+//! fixed order — so the shard count, and which units ran remotely, can
+//! change *which thread* runs a unit but never the served bytes.
 
-use litsynth_core::{
-    merge_unit_suites, run_unit, CanonicalSuite, SynthConfig, SynthResult, UnitPlan,
-};
+use crate::remote::RemotePool;
+use litsynth_core::{run_unit, SynthResult, UnitPlan};
 use litsynth_models::MemoryModel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Shard-layer counters, as reported in [`crate::ServerStats::shard`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -36,17 +37,8 @@ pub struct ShardRunStats {
     pub stolen: u64,
 }
 
-/// Runs one unit once: [`run_unit`] behind one `catch_unwind`. A panic
-/// comes back as `Err` carrying the unit's key.
-pub(crate) fn run_unit_once<M: MemoryModel + Sync>(
-    model: &M,
-    plan: &UnitPlan,
-) -> Result<SynthResult, String> {
-    catch_unwind(AssertUnwindSafe(|| run_unit(model, plan))).map_err(|_| plan.unit.key.to_string())
-}
-
 /// Runs every planned unit once on `min(shards, units)` spawned threads
-/// and returns the per-unit results **in seq order**. `Err` names every
+/// and returns the per-unit results **in plan order**. `Err` names every
 /// unit that panicked — partial suites are never returned, because a
 /// silently missing unit would break the byte-identity contract.
 pub fn run_sharded<M: MemoryModel + Sync>(
@@ -67,7 +59,8 @@ pub fn run_sharded<M: MemoryModel + Sync>(
                         let Some(plan) = plans.get(idx) else {
                             return ran;
                         };
-                        ran.push((idx, run_unit_once(model, plan)));
+                        let outcome = catch_unwind(AssertUnwindSafe(|| run_unit(model, plan)));
+                        ran.push((idx, outcome.map_err(|_| plan.unit.key.to_string())));
                     }
                 })
             })
@@ -93,49 +86,49 @@ pub fn run_sharded<M: MemoryModel + Sync>(
     Ok(results)
 }
 
-/// Runs a planned query across whatever compute is available: when the
-/// remote pool has live workers the units go out on deadline leases
-/// (degrading to local per-unit as budgets or workers run out,
-/// per [`crate::remote`]); with no pool or no workers this is exactly
-/// [`run_sharded`] — single-host queries never count as degraded.
-/// Either way the results come back in seq order, so the merge (and the
-/// served bytes) cannot depend on where the units ran.
+/// Runs a planned query across whatever compute is available. With no
+/// live remote worker this is exactly [`run_sharded`] — single-host
+/// queries never count as degraded. Otherwise the units are leased to the
+/// workers ([`crate::remote`]), and the units that degrade run through
+/// [`run_sharded`] once every other unit has resolved. Either way the
+/// results come back in plan order, so the merge (and the served bytes)
+/// cannot depend on where the units ran.
 pub fn run_distributed<M: MemoryModel + Sync>(
     model: &M,
     request_model: &str,
     plans: &[UnitPlan],
     shards: usize,
-    pool: Option<&std::sync::Arc<crate::remote::RemotePool>>,
+    pool: &Arc<RemotePool>,
 ) -> Result<Vec<SynthResult>, String> {
-    match pool {
-        Some(pool) if pool.live() > 0 => {
-            crate::remote::run_batch(model, request_model, plans, pool)
-        }
-        _ => run_sharded(model, plans, shards),
+    if pool.live() == 0 {
+        return run_sharded(model, plans, shards);
     }
-}
-
-/// Convenience: plan, run sharded, and merge in one call — the sharded
-/// equivalent of [`litsynth_core::synthesize_union_up_to`].
-pub fn sharded_union<M: MemoryModel + Sync>(
-    model: &M,
-    bounds: std::ops::RangeInclusive<usize>,
-    mk_cfg: impl Fn(usize) -> SynthConfig,
-    shards: usize,
-) -> Result<CanonicalSuite, String> {
-    let plans = litsynth_core::plan_units(model, bounds, mk_cfg);
-    let results = run_sharded(model, &plans, shards)?;
-    Ok(merge_unit_suites(results.iter().map(|r| &r.tests)))
+    let leased = crate::remote::run_batch(model, request_model, plans, pool)?;
+    let degraded: Vec<UnitPlan> = plans
+        .iter()
+        .zip(&leased)
+        .filter(|(_, r)| r.is_none())
+        .map(|(p, _)| p.clone())
+        .collect();
+    let mut local = run_sharded(model, &degraded, shards)?.into_iter();
+    Ok(leased
+        .into_iter()
+        .map(|r| {
+            r.or_else(|| local.next())
+                .expect("one result per degraded unit")
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use litsynth_core::{
-        encode_suite_body, plan_query, plan_units, synthesize_union_up_to, ProgressSink,
+        encode_suite_body, merge_unit_suites, plan_query, plan_units, synthesize_union_up_to,
+        ProgressSink, SynthConfig,
     };
     use litsynth_models::Tso;
-    use std::sync::{Arc, Mutex};
+    use std::sync::Mutex;
 
     #[test]
     fn sharded_union_is_byte_identical_to_the_direct_sweep() {
@@ -150,9 +143,6 @@ mod tests {
             let suite = merge_unit_suites(results.iter().map(|r| &r.tests));
             assert_eq!(direct, encode_suite_body(&suite), "{shards} shards");
         }
-        // The convenience wrapper is the same plan, run and merge.
-        let suite = sharded_union(&m, 2..=3, SynthConfig::new, 2).expect("run succeeds");
-        assert_eq!(direct, encode_suite_body(&suite));
     }
 
     #[test]

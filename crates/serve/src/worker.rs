@@ -63,6 +63,11 @@ pub struct WorkerFault {
     pub kind: FaultKind,
 }
 
+/// First reconnect delay after a lost coordinator, in milliseconds.
+const CONNECT_BACKOFF_MS: u64 = 50;
+/// Reconnect delay cap, in milliseconds.
+const CONNECT_BACKOFF_MAX_MS: u64 = 2_000;
+
 /// Worker knobs. Explicit fields, never environment variables.
 #[derive(Clone, Debug)]
 pub struct WorkerConfig {
@@ -70,10 +75,6 @@ pub struct WorkerConfig {
     pub unit_threads: usize,
     /// Cube-split bits per unit (byte-identity-preserving).
     pub cube_bits: usize,
-    /// First reconnect delay after a lost coordinator.
-    pub connect_backoff_ms: u64,
-    /// Reconnect delay cap.
-    pub connect_backoff_max_ms: u64,
     /// Seed for the deterministic reconnect jitter.
     pub jitter_seed: u64,
     /// Injected fault, if any (tests only).
@@ -85,8 +86,6 @@ impl Default for WorkerConfig {
         WorkerConfig {
             unit_threads: 1,
             cube_bits: 0,
-            connect_backoff_ms: 50,
-            connect_backoff_max_ms: 2_000,
             jitter_seed: 1,
             fault: None,
         }
@@ -98,19 +97,19 @@ impl Default for WorkerConfig {
 /// plus jitter; a coordinator that is simply down keeps being retried.
 pub fn run_worker(addr: &str, cfg: &WorkerConfig, stop: &AtomicBool) {
     let mut rng = SplitMix64::new(cfg.jitter_seed);
-    let mut backoff = cfg.connect_backoff_ms.max(1);
+    let mut backoff = CONNECT_BACKOFF_MS;
     let mut fault = cfg.fault.clone();
     while !stop.load(Ordering::SeqCst) {
         match TcpStream::connect(addr) {
             Ok(stream) => {
                 let alive = session(stream, cfg, &mut fault, stop);
-                backoff = cfg.connect_backoff_ms.max(1);
+                backoff = CONNECT_BACKOFF_MS;
                 if !alive {
                     return; // injected death: stay dead, like a real kill
                 }
             }
             Err(_) => {
-                backoff = (backoff * 2).min(cfg.connect_backoff_max_ms.max(1));
+                backoff = (backoff * 2).min(CONNECT_BACKOFF_MAX_MS);
             }
         }
         let jitter = rng.next_u64() % (backoff / 2 + 1);

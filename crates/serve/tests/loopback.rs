@@ -216,6 +216,57 @@ fn remote_workers_serve_byte_identical_suites_with_no_local_fallback() {
 }
 
 #[test]
+fn remote_results_are_journaled_and_replayed_by_the_coordinator() {
+    // Workers run journal-less, so the coordinator journals what they
+    // send back, and after a restart replays it without leasing anything.
+    let dir = temp_dir("remote-journal");
+    let cfg = || ServeConfig {
+        journal_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let req = QueryRequest::sweep("tso", 2, 3);
+    let units = 2 * Tso::new().axioms().len();
+
+    let first = Server::start(cfg()).expect("first coordinator starts");
+    let workers = spawn_workers(&first, 2, None);
+    let mut client = Client::connect(first.addr()).expect("client connects");
+    let cold = client.query(&req).expect("cold remote query succeeds");
+    assert_eq!(cold.reply.suite, direct_tso_bytes(2..=3), "byte identity");
+    let stats = first.stats().remote;
+    assert_eq!(stats.completed_remote, units as u64, "{stats:?}");
+    assert_eq!(stats.degraded_to_local, 0, "{stats:?}");
+    for w in workers {
+        w.stop();
+    }
+    first.shutdown();
+    let journal = litsynth_core::Journal::open(&dir).expect("journal opens");
+    assert_eq!(journal.entries(), units, "one journal entry per unit");
+
+    let second = Server::start(cfg()).expect("second coordinator starts");
+    let workers = spawn_workers(&second, 1, None);
+    let mut client = Client::connect(second.addr()).expect("client reconnects");
+    let replayed = client.query(&req).expect("replayed query succeeds");
+    assert!(!replayed.reply.cached, "restart must empty the warm tier");
+    assert_eq!(replayed.reply.compilations, 0, "every unit replays");
+    assert_eq!(replayed.progress.len(), units);
+    assert!(
+        replayed.progress.iter().all(|p| p.from_journal),
+        "progress must say where the units came from"
+    );
+    assert_eq!(replayed.reply.suite, cold.reply.suite, "byte identity");
+    let stats = second.stats().remote;
+    assert_eq!(
+        stats.units_remote, 0,
+        "a replayed unit is never leased: {stats:?}"
+    );
+    for w in workers {
+        w.stop();
+    }
+    second.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn every_injected_worker_fault_preserves_byte_identity() {
     // One worker per fault kind, so the faulted unit is deterministically
     // leased to the faulted worker. The coordinator must reclaim, reject,
@@ -324,14 +375,8 @@ fn stalled_server_surfaces_as_a_typed_timeout() {
         std::thread::sleep(std::time::Duration::from_secs(3));
         drop(conn);
     });
-    let mut client = Client::connect_with(
-        addr,
-        &ClientConfig {
-            io_timeout_ms: 200,
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connect succeeds (the stall is after accept)");
+    let mut client = Client::connect_with(addr, &ClientConfig { io_timeout_ms: 200 })
+        .expect("connect succeeds (the stall is after accept)");
     let started = std::time::Instant::now();
     match client.ping() {
         Err(ClientError::Timeout(_)) => {}
