@@ -629,32 +629,31 @@ fn speedup(bound: usize, threads: usize) {
 
 /// Writes the synthesized union suite to `suites_out/<model>/NNN.litmus`.
 fn emit(model: &str, max_bound: usize, budget: u64) {
-    fn go<M: MemoryModel + Sync>(m: &M, max_bound: usize, budget: u64) {
-        let dir = std::path::PathBuf::from("suites_out").join(m.name().to_lowercase());
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("create output dir {}: {e}", dir.display()));
-        let union = report::union_suite(m, 2..=max_bound, budget);
-        for (i, (test, outcome)) in union.values().enumerate() {
-            let named = test
-                .clone()
-                .with_name(format!("{}-{:04}", m.name().to_lowercase(), i));
-            let text = litsynth_litmus::format::to_text(&named, outcome);
-            let path = dir.join(format!("{i:04}.litmus"));
-            // Atomic (temp + rename): a kill mid-emit leaves complete
-            // files only, never a torn .litmus.
-            litsynth_core::atomic_write(&path, text.as_bytes())
-                .unwrap_or_else(|e| panic!("write test file {}: {e}", path.display()));
+    struct Emit(usize, u64);
+    impl litsynth_serve::models::ModelOp for Emit {
+        type Out = ();
+        fn run<M: MemoryModel + Sync>(self, m: &M) {
+            let Emit(max_bound, budget) = self;
+            let dir = std::path::PathBuf::from("suites_out").join(m.name().to_lowercase());
+            std::fs::create_dir_all(&dir)
+                .unwrap_or_else(|e| panic!("create output dir {}: {e}", dir.display()));
+            let union = report::union_suite(m, 2..=max_bound, budget);
+            for (i, (test, outcome)) in union.values().enumerate() {
+                let named = test
+                    .clone()
+                    .with_name(format!("{}-{:04}", m.name().to_lowercase(), i));
+                let text = litsynth_litmus::format::to_text(&named, outcome);
+                let path = dir.join(format!("{i:04}.litmus"));
+                // Atomic (temp + rename): a kill mid-emit leaves complete
+                // files only, never a torn .litmus.
+                litsynth_core::atomic_write(&path, text.as_bytes())
+                    .unwrap_or_else(|e| panic!("write test file {}: {e}", path.display()));
+            }
+            println!("wrote {} tests to {}", union.len(), dir.display());
         }
-        println!("wrote {} tests to {}", union.len(), dir.display());
     }
-    match model {
-        "sc" => go(&Sc::new(), max_bound, budget),
-        "tso" => go(&Tso::new(), max_bound, budget),
-        "power" => go(&Power::new(), max_bound, budget),
-        "armv7" => go(&Power::armv7(), max_bound, budget),
-        "scc" => go(&Scc::new(), max_bound, budget),
-        "c11" => go(&C11::new(), max_bound, budget),
-        other => eprintln!("unknown model {other:?}"),
+    if let Err(e) = litsynth_serve::models::dispatch(model, Emit(max_bound, budget)) {
+        eprintln!("{e}");
     }
 }
 
@@ -1214,6 +1213,29 @@ fn fig12(out: &mut String, budget: u64) {
     }
 }
 
+/// One bound of a per-axiom figure: synthesizes every axiom of `m` at
+/// bound `n` into `union` and returns the union's size, the per-axiom
+/// counts as table cells, and the summed runtime cell.
+fn axiom_row<M: MemoryModel + Sync>(
+    m: &M,
+    n: usize,
+    budget: u64,
+    union: &mut litsynth_core::CanonicalSuite,
+) -> (usize, String, String) {
+    let mut counts = Vec::new();
+    let mut secs = 0.0;
+    let mut trunc = false;
+    for ax in m.axioms() {
+        let r = synthesize_axiom(m, ax, &cfg(n, budget));
+        secs += r.elapsed.as_secs_f64();
+        trunc |= r.truncated;
+        counts.push(r.len().to_string());
+        union.extend(r.tests);
+    }
+    let runtime = format!("{secs:.2}{}", if trunc { " (truncated)" } else { "" });
+    (union.len(), counts.join(" | "), runtime)
+}
+
 /// Figure 13: TSO counts and runtimes per bound.
 fn fig13(out: &mut String, budget: u64) {
     outln!(out, "\n## Figure 13 — TSO results\n");
@@ -1222,32 +1244,17 @@ fn fig13(out: &mut String, budget: u64) {
 
     outln!(out, "| bound | Owens(≤) | tso-union(≤) | all-progs(=) | sc_per_loc | rmw_atom | causality | runtime(s) |");
     outln!(out, "|-------|----------|--------------|--------------|------------|----------|-----------|------------|");
-    let mut union: BTreeMap<String, _> = BTreeMap::new();
+    let mut union = BTreeMap::new();
     for n in 2..=6 {
-        let mut per_axiom = Vec::new();
-        let mut secs = 0.0;
-        let mut trunc = false;
-        for ax in tso.axioms() {
-            let r = synthesize_axiom(&tso, ax, &cfg(n, budget));
-            secs += r.elapsed.as_secs_f64();
-            trunc |= r.truncated;
-            per_axiom.push(r.len());
-            union.extend(r.tests);
-        }
+        let (size, counts, runtime) = axiom_row(&tso, n, budget, &mut union);
         let owens_n = owens_forbidden
             .iter()
             .filter(|e| e.test.num_events() <= n)
             .count();
+        let all = count_programs(&tso, n, 3);
         outln!(
             out,
-            "| {n} | {owens_n} | {} | {} | {} | {} | {} | {:.2}{} |",
-            union.len(),
-            count_programs(&tso, n, 3),
-            per_axiom[0],
-            per_axiom[1],
-            per_axiom[2],
-            secs,
-            if trunc { " (truncated)" } else { "" },
+            "| {n} | {owens_n} | {size} | {all} | {counts} | {runtime} |"
         );
     }
 }
@@ -1298,34 +1305,15 @@ fn fig16(out: &mut String, budget: u64) {
 
     outln!(out, "\n| bound | Cambridge(≤) | diy(≤) | power-union(≤) | sc_per_loc | no_thin_air | observation | propagation | runtime(s) |");
     outln!(out, "|-------|--------------|--------|----------------|------------|-------------|-------------|-------------|------------|");
-    let mut union: BTreeMap<String, _> = BTreeMap::new();
+    let mut union = BTreeMap::new();
     for n in 2..=5 {
-        let mut per_axiom = Vec::new();
-        let mut secs = 0.0;
-        let mut trunc = false;
-        for ax in power.axioms() {
-            let r = synthesize_axiom(&power, ax, &cfg(n, budget));
-            secs += r.elapsed.as_secs_f64();
-            trunc |= r.truncated;
-            per_axiom.push(r.len());
-            union.extend(r.tests);
-        }
+        let (size, counts, runtime) = axiom_row(&power, n, budget, &mut union);
         let cam = cambridge_forbidden
             .iter()
             .filter(|e| e.test.num_events() <= n)
             .count();
         let d = diy.iter().filter(|(t, _)| t.num_events() <= n).count();
-        outln!(
-            out,
-            "| {n} | {cam} | {d} | {} | {} | {} | {} | {} | {:.2}{} |",
-            union.len(),
-            per_axiom[0],
-            per_axiom[1],
-            per_axiom[2],
-            per_axiom[3],
-            secs,
-            if trunc { " (truncated)" } else { "" },
-        );
+        outln!(out, "| {n} | {cam} | {d} | {size} | {counts} | {runtime} |");
     }
 
     // Cambridge coverage check (the PPOAA remark in §6.2).
@@ -1354,29 +1342,10 @@ fn fig20(out: &mut String, budget: u64) {
         out,
         "|-------|--------------|------------|-------------|----------|-----------|------------|"
     );
-    let mut union: BTreeMap<String, _> = BTreeMap::new();
+    let mut union = BTreeMap::new();
     for n in 2..=5 {
-        let mut per_axiom = Vec::new();
-        let mut secs = 0.0;
-        let mut trunc = false;
-        for ax in scc.axioms() {
-            let r = synthesize_axiom(&scc, ax, &cfg(n, budget));
-            secs += r.elapsed.as_secs_f64();
-            trunc |= r.truncated;
-            per_axiom.push(r.len());
-            union.extend(r.tests);
-        }
-        outln!(
-            out,
-            "| {n} | {} | {} | {} | {} | {} | {:.2}{} |",
-            union.len(),
-            per_axiom[0],
-            per_axiom[1],
-            per_axiom[2],
-            per_axiom[3],
-            secs,
-            if trunc { " (truncated)" } else { "" },
-        );
+        let (size, counts, runtime) = axiom_row(&scc, n, budget, &mut union);
+        outln!(out, "| {n} | {size} | {counts} | {runtime} |");
     }
 }
 
@@ -1393,29 +1362,10 @@ fn c11(out: &mut String, budget: u64) {
         out,
         "|-------|--------------|-----------|-----------|-------------|---------|------------|"
     );
-    let mut union: BTreeMap<String, _> = BTreeMap::new();
+    let mut union = BTreeMap::new();
     for n in 2..=4 {
-        let mut per_axiom = Vec::new();
-        let mut secs = 0.0;
-        let mut trunc = false;
-        for ax in m.axioms() {
-            let r = synthesize_axiom(&m, ax, &cfg(n, budget));
-            secs += r.elapsed.as_secs_f64();
-            trunc |= r.truncated;
-            per_axiom.push(r.len());
-            union.extend(r.tests);
-        }
-        outln!(
-            out,
-            "| {n} | {} | {} | {} | {} | {} | {:.2}{} |",
-            union.len(),
-            per_axiom[0],
-            per_axiom[1],
-            per_axiom[2],
-            per_axiom[3],
-            secs,
-            if trunc { " (truncated)" } else { "" },
-        );
+        let (size, counts, runtime) = axiom_row(&m, n, budget, &mut union);
+        outln!(out, "| {n} | {size} | {counts} | {runtime} |");
     }
 }
 

@@ -8,39 +8,49 @@ use litsynth_relalg::{Bit, Finder};
 use litsynth_sat::{NoExchange, SolveBudget};
 use std::collections::BTreeMap;
 
-/// Synthesizes the union suite over a bound range with a per-query time
-/// budget (milliseconds).
-pub fn union_suite<M: MemoryModel + Sync>(
-    model: &M,
-    bounds: std::ops::RangeInclusive<usize>,
-    budget_ms: u64,
-) -> BTreeMap<String, (LitmusTest, Outcome)> {
-    union_suite_parallel(model, bounds, budget_ms, 1, 0)
-}
-
-/// [`union_suite`] on the parallel synthesis engine: `threads` workers
-/// (0 = all cores), each query cube-split `2^cube_bits` ways. The suite is
-/// byte-identical to the sequential one for any setting.
+/// Synthesizes the union suite over a bound range on one thread with a
+/// per-query time budget (milliseconds).
 ///
 /// When `LITSYNTH_RESUME` is set (see [`litsynth_core::env_journal`]),
 /// completed queries checkpoint to the journal and a re-run replays them
 /// instead of re-solving — still byte-identical, because only exact
 /// (non-truncated, non-degraded) queries are ever recorded.
-pub fn union_suite_parallel<M: MemoryModel + Sync>(
+pub fn union_suite<M: MemoryModel + Sync>(
     model: &M,
     bounds: std::ops::RangeInclusive<usize>,
     budget_ms: u64,
-    threads: usize,
-    cube_bits: usize,
 ) -> BTreeMap<String, (LitmusTest, Outcome)> {
     litsynth_core::synthesize_union_up_to(model, bounds, |n| {
         let mut cfg = SynthConfig::new(n);
         cfg.time_budget_ms = budget_ms;
-        cfg.threads = threads;
-        cfg.cube_bits = cube_bits;
         cfg.journal = litsynth_core::env_journal();
         cfg
     })
+}
+
+/// The program-level bits of `st` (event kinds, threads, addresses,
+/// dependencies, RMW pairs): blocking an instance on these alone
+/// enumerates programs rather than executions.
+fn static_bits(st: &SymbolicTest) -> Vec<Bit> {
+    let mut bits: Vec<Bit> = Vec::new();
+    for e in 0..st.n {
+        bits.extend(st.kind[e].iter().copied());
+        bits.extend(st.thread[e].iter().copied());
+        bits.extend(st.addr[e].iter().copied());
+    }
+    for m in st.deps.values() {
+        for i in 0..st.n {
+            for j in (i + 1)..st.n {
+                bits.push(m.get(i, j));
+            }
+        }
+    }
+    if st.has_rmw {
+        for e in 0..st.n.saturating_sub(1) {
+            bits.push(st.rmw.get(e, e + 1));
+        }
+    }
+    bits
 }
 
 /// Exhaustively enumerates every well-formed canonical program of exactly
@@ -50,25 +60,7 @@ pub fn enumerate_all_tests<M: MemoryModel>(model: &M, n: usize) -> Vec<(LitmusTe
     let cfg = SynthConfig::new(n);
     let mut alg = SymAlg::new();
     let st = SymbolicTest::build(&mut alg, model, &cfg);
-    // Static-only observables: block programs, not executions.
-    let mut static_bits: Vec<Bit> = Vec::new();
-    for e in 0..st.n {
-        static_bits.extend(st.kind[e].iter().copied());
-        static_bits.extend(st.thread[e].iter().copied());
-        static_bits.extend(st.addr[e].iter().copied());
-    }
-    for m in st.deps.values() {
-        for i in 0..st.n {
-            for j in (i + 1)..st.n {
-                static_bits.push(m.get(i, j));
-            }
-        }
-    }
-    if st.has_rmw {
-        for e in 0..st.n.saturating_sub(1) {
-            static_bits.push(st.rmw.get(e, e + 1));
-        }
-    }
+    let static_bits = static_bits(&st);
     let circuit = alg.into_circuit();
     let mut finder = Finder::new(&circuit);
     let budget = SolveBudget::unlimited();
@@ -107,24 +99,7 @@ pub fn count_programs_sat<M: MemoryModel>(model: &M, n: usize) -> usize {
     let cfg = SynthConfig::new(n);
     let mut alg = SymAlg::new();
     let st = SymbolicTest::build(&mut alg, model, &cfg);
-    let mut static_bits: Vec<Bit> = Vec::new();
-    for e in 0..st.n {
-        static_bits.extend(st.kind[e].iter().copied());
-        static_bits.extend(st.thread[e].iter().copied());
-        static_bits.extend(st.addr[e].iter().copied());
-    }
-    for m in st.deps.values() {
-        for i in 0..st.n {
-            for j in (i + 1)..st.n {
-                static_bits.push(m.get(i, j));
-            }
-        }
-    }
-    if st.has_rmw {
-        for e in 0..st.n.saturating_sub(1) {
-            static_bits.push(st.rmw.get(e, e + 1));
-        }
-    }
+    let static_bits = static_bits(&st);
     let circuit = alg.into_circuit();
     let mut finder = Finder::new(&circuit);
     let budget = SolveBudget::unlimited();

@@ -6,10 +6,12 @@
 //!
 //! This is the exactness pin for the whole CHECK serving path: any
 //! disagreement here is a checker bug (over-saturation) or an oracle bug,
-//! never tolerable drift.
+//! never tolerable drift. One more test pins the checker's own answers,
+//! verdicts and cycle witnesses alike, by count and digest.
 
 use litsynth_litmus::diy::{DiyConfig, DiyGenerator};
 use litsynth_litmus::{Execution, LitmusTest, Outcome};
+use litsynth_models::check::Verdict;
 use litsynth_models::{check, oracle, MemoryModel, Power, Sc, Scc, Tso, C11};
 
 fn seeded_tests(seed: u64, n: usize) -> Vec<(LitmusTest, Outcome)> {
@@ -70,6 +72,50 @@ fn checker_agrees_with_enumeration_on_second_seed() {
     run_differential(0xd1f7_0002, 12);
 }
 
+/// Pins the checker's verdicts *and* cycle witnesses byte for byte: every
+/// distinct outcome of every seeded diy test (plus the test's own cycle
+/// outcome) under all six model variants, one line per check, digested.
+/// The differential tests above pin only verdicts; this catches a change to
+/// which cycle saturation reports, or in what order it walks it.
+#[test]
+fn checker_verdicts_and_witnesses_are_pinned() {
+    let models: [&dyn ModelDyn; 6] = [
+        &Sc::new(),
+        &Tso::new(),
+        &Power::new(),
+        &Power::armv7(),
+        &Scc::new(),
+        &C11::new(),
+    ];
+    let mut lines: Vec<String> = Vec::new();
+    let mut witnesses = 0usize;
+    for seed in [1u64, 2] {
+        for (i, (test, cycle)) in seeded_tests(seed, 100).into_iter().enumerate() {
+            let mut outcomes: Vec<Outcome> = Execution::iter(&test).map(|e| e.outcome()).collect();
+            outcomes.push(cycle);
+            outcomes.sort();
+            outcomes.dedup();
+            for outcome in &outcomes {
+                for model in models {
+                    lines.push(match model.check_outcome(&test, outcome) {
+                        Verdict::Consistent => format!("{seed} {i} consistent\n"),
+                        Verdict::Inconsistent(None) => format!("{seed} {i} inconsistent\n"),
+                        Verdict::Inconsistent(Some(w)) => {
+                            witnesses += 1;
+                            format!("{seed} {i} {} {:?}\n", w.axiom, w.events)
+                        }
+                    });
+                }
+            }
+        }
+    }
+    let digest = litsynth_core::fnv1a(lines.concat().as_bytes());
+    assert_eq!(
+        (lines.len(), witnesses, format!("{digest:016x}")),
+        (7476, 725, "572183b35465f99d".to_string()),
+    );
+}
+
 #[test]
 fn checker_agrees_with_enumeration_under_relaxations() {
     // Relaxation-perturbed variants: apply each admissible relaxation to a
@@ -99,17 +145,22 @@ fn checker_agrees_with_enumeration_under_relaxations() {
     }
 }
 
-/// Object-safe shim so the relaxation sweep can iterate heterogeneous
-/// models without monomorphizing the whole loop body per model.
+/// Object-safe shim so the relaxation sweep and the witness pin can iterate
+/// heterogeneous models without monomorphizing the whole loop body per
+/// model.
 trait ModelDyn {
     fn applications_of(&self, test: &LitmusTest) -> Vec<litsynth_core::Application>;
     fn check_observable(&self, test: &LitmusTest, outcome: &Outcome) -> bool;
     fn oracle_observable(&self, test: &LitmusTest, outcome: &Outcome) -> bool;
+    fn check_outcome(&self, test: &LitmusTest, outcome: &Outcome) -> Verdict;
 }
 
 impl<M: MemoryModel> ModelDyn for M {
     fn applications_of(&self, test: &LitmusTest) -> Vec<litsynth_core::Application> {
         litsynth_core::applications(self, test)
+    }
+    fn check_outcome(&self, test: &LitmusTest, outcome: &Outcome) -> Verdict {
+        check::check_outcome(self, test, outcome)
     }
     fn check_observable(&self, test: &LitmusTest, outcome: &Outcome) -> bool {
         check::observable(self, test, outcome)

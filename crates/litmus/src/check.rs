@@ -7,17 +7,16 @@
 //! al., Chakraborty): fix rf, then *saturate* the coherence order with
 //! every edge that is forced (its reversal would close a cycle through a
 //! relation the model requires acyclic), detect contradictions with an
-//! incremental topological-order cycle check, and only fall back to
-//! enumerating the (usually unique) linear extensions of the forced order.
+//! incremental cycle check, and only fall back to enumerating the (usually
+//! unique) linear extensions of the forced order.
 //!
 //! The memory-model side — which relations participate, per axiom — is
 //! supplied by `litsynth-models` as [`AxiomSpec`]s; this module knows only
 //! programs, rf maps, and graphs.
 //!
-//! Graphs use a flat `u32` edge arena (the same discipline as the SAT
-//! core's clause arena): adding an edge appends two `u32`s, never allocates
-//! a node, and the Pearce-Kelly order maintenance touches only the affected
-//! window.
+//! Graphs keep one `u64` edge row and one `u64` closure row per event, so
+//! the closure is current after every insertion and a cycle check is one
+//! bit test.
 
 use crate::event::Addr;
 use crate::rel::Rel;
@@ -44,80 +43,44 @@ impl CycleWitness {
     }
 }
 
-const NIL: u32 = u32::MAX;
-
-/// A directed graph over event ids with incremental cycle detection.
+/// A directed acyclic graph over at most 64 event ids, kept together with
+/// its transitive closure.
 ///
-/// Edges live in a flat `u32` arena (`edge_to`/`edge_next` parallel
-/// arrays); a `u64` row bitset per node backs O(1) duplicate checks and
-/// allocation-free DFS. A topological order is maintained incrementally in
-/// the Pearce-Kelly style: inserting an order-respecting edge is O(1), and
-/// a violating insertion reorders only the affected window — or extracts
-/// the cycle it would create.
-#[derive(Clone, Debug)]
-pub struct DiGraph {
-    n: usize,
-    head: Vec<u32>,
-    edge_to: Vec<u32>,
-    edge_next: Vec<u32>,
+/// `adj[u]` is the set of edges out of `u` and `reach[u]` the set of nodes
+/// reachable from `u` by one or more edges, one `u64` row each. Every
+/// accepted insertion brings the closure up to date, so a cycle check is
+/// one bit test and a reachability query is one row load.
+struct DiGraph {
     adj: Vec<u64>,
-    radj: Vec<u64>,
-    /// `ord[v]` = topological index of node `v`.
-    ord: Vec<u32>,
-    /// `at[i]` = node at topological index `i` (inverse of `ord`).
-    at: Vec<u32>,
+    reach: Vec<u64>,
 }
 
 impl DiGraph {
-    /// An edgeless graph over `n ≤ 64` nodes, topologically ordered by id.
-    pub fn new(n: usize) -> DiGraph {
+    /// An edgeless graph over `n ≤ 64` nodes.
+    fn new(n: usize) -> DiGraph {
         assert!(n <= 64, "DiGraph carriers are litmus-sized");
         DiGraph {
-            n,
-            head: vec![NIL; n],
-            edge_to: Vec::new(),
-            edge_next: Vec::new(),
             adj: vec![0; n],
-            radj: vec![0; n],
-            ord: (0..n as u32).collect(),
-            at: (0..n as u32).collect(),
+            reach: vec![0; n],
         }
     }
 
     /// `true` if the edge `(u, v)` is present.
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
+    fn has_edge(&self, u: usize, v: usize) -> bool {
         self.adj[u] >> v & 1 == 1
     }
 
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edge_to.len()
+    /// The nodes reachable from `from`, as a bitmask.
+    fn reach(&self, from: usize) -> u64 {
+        self.reach[from]
     }
 
-    /// The nodes reachable from `from` (not including `from` itself unless
-    /// it lies on a cycle), as a bitmask.
-    pub fn reach(&self, from: usize) -> u64 {
-        let mut seen = 0u64;
-        let mut stack = self.adj[from];
-        while stack != 0 {
-            let v = stack.trailing_zeros() as usize;
-            stack &= stack - 1;
-            if seen >> v & 1 == 0 {
-                seen |= 1 << v;
-                stack |= self.adj[v] & !seen;
-            }
-        }
-        seen
-    }
-
-    /// The current edge set as a [`Rel`].
-    pub fn to_rel(&self) -> Rel {
-        let mut r = Rel::new(self.n);
-        for u in 0..self.n {
-            let mut row = self.adj[u];
-            while row != 0 {
-                let v = row.trailing_zeros() as usize;
-                row &= row - 1;
+    /// The transitive closure of the edges as a [`Rel`].
+    fn closure(&self) -> Rel {
+        let n = self.reach.len();
+        let mut r = Rel::new(n);
+        for (u, &row) in self.reach.iter().enumerate() {
+            for v in (0..n).filter(|&v| row >> v & 1 == 1) {
                 r.add(u, v);
             }
         }
@@ -128,100 +91,61 @@ impl DiGraph {
     ///
     /// Returns `Ok(true)` if the edge is new, `Ok(false)` if it was already
     /// present, and `Err(cycle)` — the events along the cycle the edge
-    /// closes, starting at `u` — if insertion would create one. After an
-    /// `Err` the graph must be discarded: the arena keeps the offending
-    /// edge.
-    pub fn add_edge(&mut self, u: usize, v: usize) -> Result<bool, Vec<usize>> {
+    /// would close, starting at `u` — if `v` already reaches `u`. A refused
+    /// edge leaves the graph unchanged.
+    fn add_edge(&mut self, u: usize, v: usize) -> Result<bool, Vec<usize>> {
         if u == v {
             return Err(vec![u]);
         }
         if self.has_edge(u, v) {
             return Ok(false);
         }
-        self.edge_to.push(v as u32);
-        self.edge_next.push(self.head[u]);
-        self.head[u] = (self.edge_to.len() - 1) as u32;
+        if self.reach[v] >> u & 1 == 1 {
+            return Err(self.cycle_through(u, v));
+        }
         self.adj[u] |= 1 << v;
-        self.radj[v] |= 1 << u;
-        if self.ord[u] < self.ord[v] {
-            return Ok(true);
-        }
-        // The edge points against the current order: discover the affected
-        // window [ord[v], ord[u]] and either find a cycle or reorder it.
-        let (lb, ub) = (self.ord[v], self.ord[u]);
-        let mut parent = [NIL; 64];
-        let mut fwd = 0u64; // reachable from v within the window
-        let mut stack = vec![v as u32];
-        fwd |= 1 << v;
-        while let Some(x) = stack.pop() {
-            let mut row = self.adj[x as usize] & !fwd;
-            while row != 0 {
-                let y = row.trailing_zeros() as usize;
-                row &= row - 1;
-                if self.ord[y] > ub {
-                    continue;
-                }
-                parent[y] = x;
-                if y == u {
-                    // Cycle: u → v (the new edge), then the DFS path
-                    // v → a₁ → … → aₖ → u. Walk the parent chain back from
-                    // u to v to recover a₁…aₖ.
-                    let mut rev = Vec::new();
-                    let mut node = parent[u] as usize;
-                    while node != v {
-                        rev.push(node);
-                        node = parent[node] as usize;
-                    }
-                    rev.reverse();
-                    let mut cyc = vec![u, v];
-                    cyc.extend(rev);
-                    return Err(cyc);
-                }
-                fwd |= 1 << y;
-                stack.push(y as u32);
+        // `u` and everything that reaches `u` now also reach `v` and all
+        // `v` reaches. No row gains `u` itself, so the test stays valid
+        // while the rows change.
+        let gained = self.reach[v] | 1 << v;
+        for (x, row) in self.reach.iter_mut().enumerate() {
+            if x == u || *row >> u & 1 == 1 {
+                *row |= gained;
             }
-        }
-        // No cycle: Pearce-Kelly reorder. Backward-reachable set from u
-        // within the window, then merge the two sets into the window slots.
-        let mut bwd = 1u64 << u;
-        let mut stack = vec![u as u32];
-        while let Some(x) = stack.pop() {
-            let mut row = self.radj[x as usize] & !bwd;
-            while row != 0 {
-                let y = row.trailing_zeros() as usize;
-                row &= row - 1;
-                if self.ord[y] < lb {
-                    continue;
-                }
-                bwd |= 1 << y;
-                stack.push(y as u32);
-            }
-        }
-        let mut members: Vec<u32> = Vec::with_capacity((fwd | bwd).count_ones() as usize);
-        let mut slots: Vec<u32> = Vec::with_capacity(members.capacity());
-        // Backward set first (they must precede), each sorted by old order.
-        let order_of = |mask: u64, out: &mut Vec<u32>| {
-            let mut picked: Vec<u32> = Vec::new();
-            let mut m = mask;
-            while m != 0 {
-                let y = m.trailing_zeros() as usize;
-                m &= m - 1;
-                picked.push(y as u32);
-            }
-            picked.sort_by_key(|&y| self.ord[y as usize]);
-            out.extend(picked);
-        };
-        order_of(bwd, &mut members);
-        order_of(fwd, &mut members);
-        for &y in &members {
-            slots.push(self.ord[y as usize]);
-        }
-        slots.sort_unstable();
-        for (y, s) in members.iter().zip(&slots) {
-            self.ord[*y as usize] = *s;
-            self.at[*s as usize] = *y;
         }
         Ok(true)
+    }
+
+    /// The cycle `u → v → a₁ → … → aₖ` (and back to `u`) that the edge
+    /// `(u, v)` would close, given that `v` reaches `u`: `a₁ … aₖ` is the
+    /// path on which a depth-first search from `v`, visiting successors
+    /// lowest id first, discovers `u`.
+    fn cycle_through(&self, u: usize, v: usize) -> Vec<usize> {
+        let mut parent = [0usize; 64];
+        let mut seen = 1u64 << v;
+        let mut stack = vec![v];
+        while let Some(x) = stack.pop() {
+            let mut row = self.adj[x] & !seen;
+            while row != 0 {
+                let y = row.trailing_zeros() as usize;
+                row &= row - 1;
+                parent[y] = x;
+                if y == u {
+                    let mut rev = Vec::new();
+                    let mut node = x;
+                    while node != v {
+                        rev.push(node);
+                        node = parent[node];
+                    }
+                    let mut cyc = vec![u, v];
+                    cyc.extend(rev.into_iter().rev());
+                    return cyc;
+                }
+                seen |= 1 << y;
+                stack.push(y);
+            }
+        }
+        unreachable!("v reaches u, so the search discovers u")
     }
 }
 
@@ -387,7 +311,7 @@ pub fn saturate(
         }
     }
 
-    Ok(co.to_rel().transitive_closure())
+    Ok(co.closure())
 }
 
 /// The one-shot rule pass for `irreflexive(order ; eco?)` axioms.
@@ -477,76 +401,36 @@ pub fn each_co_extension<F: FnMut(&BTreeMap<Addr, Vec<usize>>) -> bool>(
         .map(|a| (a, test.writes_to(a)))
         .filter(|(_, ws)| !ws.is_empty())
         .collect();
-    let mut chosen: BTreeMap<Addr, Vec<usize>> = BTreeMap::new();
-    extend_addr(&per_addr, 0, forced, &mut chosen, visit)
+    extend(&per_addr, forced, &mut BTreeMap::new(), visit)
 }
 
-fn extend_addr<F: FnMut(&BTreeMap<Addr, Vec<usize>>) -> bool>(
+/// Extends `chosen` one write at a time. The first address in `per_addr`
+/// whose order is incomplete takes, in gid order, each write whose forced
+/// predecessors are all placed; a complete order moves on to the next
+/// address, and `visit` sees `chosen` once every address is complete.
+fn extend<F: FnMut(&BTreeMap<Addr, Vec<usize>>) -> bool>(
     per_addr: &[(Addr, Vec<usize>)],
-    ai: usize,
     forced: &Rel,
     chosen: &mut BTreeMap<Addr, Vec<usize>>,
     visit: &mut F,
 ) -> bool {
-    let Some((addr, ws)) = per_addr.get(ai) else {
+    let Some(((addr, ws), rest)) = per_addr.split_first() else {
         return visit(chosen);
     };
-    // Predecessor masks in local indices.
-    let k = ws.len();
-    let mut pred = vec![0u64; k];
-    for (i, &wi) in ws.iter().enumerate() {
-        for (j, &wj) in ws.iter().enumerate() {
-            if forced.contains(wj, wi) {
-                pred[i] |= 1 << j;
-            }
-        }
+    if chosen.entry(*addr).or_default().len() == ws.len() {
+        return extend(rest, forced, chosen, visit);
     }
-    let mut order: Vec<usize> = Vec::with_capacity(k);
-    extend_one(
-        ws, &pred, 0, &mut order, *addr, per_addr, ai, forced, chosen, visit,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn extend_one<F: FnMut(&BTreeMap<Addr, Vec<usize>>) -> bool>(
-    ws: &[usize],
-    pred: &[u64],
-    used: u64,
-    order: &mut Vec<usize>,
-    addr: Addr,
-    per_addr: &[(Addr, Vec<usize>)],
-    ai: usize,
-    forced: &Rel,
-    chosen: &mut BTreeMap<Addr, Vec<usize>>,
-    visit: &mut F,
-) -> bool {
-    if order.len() == ws.len() {
-        chosen.insert(addr, order.clone());
-        let stop = extend_addr(per_addr, ai + 1, forced, chosen, visit);
-        if !stop {
-            chosen.remove(&addr);
+    for &w in ws {
+        let order = &chosen[addr];
+        let placed = |p: &usize| order.contains(p);
+        if placed(&w) || !ws.iter().all(|p| placed(p) || !forced.contains(*p, w)) {
+            continue;
         }
-        return stop;
-    }
-    for (i, &w) in ws.iter().enumerate() {
-        if used >> i & 1 == 0 && pred[i] & !used == 0 {
-            order.push(w);
-            if extend_one(
-                ws,
-                pred,
-                used | 1 << i,
-                order,
-                addr,
-                per_addr,
-                ai,
-                forced,
-                chosen,
-                visit,
-            ) {
-                return true;
-            }
-            order.pop();
+        chosen.get_mut(addr).expect("entered above").push(w);
+        if extend(per_addr, forced, chosen, visit) {
+            return true;
         }
+        chosen.get_mut(addr).expect("entered above").pop();
     }
     false
 }
@@ -563,8 +447,6 @@ mod tests {
         assert_eq!(g.add_edge(2, 1), Ok(false), "duplicate is a no-op");
         assert_eq!(g.add_edge(1, 0), Ok(true));
         assert_eq!(g.add_edge(3, 2), Ok(true));
-        // Order respects 3 → 2 → 1 → 0 after reorderings.
-        assert!(g.ord[3] < g.ord[2] && g.ord[2] < g.ord[1] && g.ord[1] < g.ord[0]);
         assert_eq!(g.reach(3), 0b0111);
         let cyc = g.add_edge(0, 3).unwrap_err();
         assert_eq!(cyc.len(), 4, "0→3→2→1→0");

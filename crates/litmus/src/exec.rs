@@ -133,29 +133,6 @@ impl Execution {
         }
         r
     }
-
-    /// External (inter-thread) restriction of a relation, e.g. `rfe` from
-    /// `rf`.
-    pub fn externalize(rel: &Rel, test: &LitmusTest) -> Rel {
-        let mut r = Rel::new(rel.len());
-        for (i, j) in rel.pairs() {
-            if test.thread_of(i) != test.thread_of(j) {
-                r.add(i, j);
-            }
-        }
-        r
-    }
-
-    /// Internal (intra-thread) restriction of a relation.
-    pub fn internalize(rel: &Rel, test: &LitmusTest) -> Rel {
-        let mut r = Rel::new(rel.len());
-        for (i, j) in rel.pairs() {
-            if test.thread_of(i) == test.thread_of(j) {
-                r.add(i, j);
-            }
-        }
-        r
-    }
 }
 
 /// Streaming candidate-execution enumerator: an odometer over per-read
@@ -315,17 +292,6 @@ mod tests {
             co: BTreeMap::from([(Addr(0), vec![1, 0])]),
         };
         assert_eq!(e.outcome().finals[&Addr(0)], 0);
-    }
-
-    #[test]
-    fn externalize_internalize_partition() {
-        let t = mp();
-        let e = &Execution::enumerate(&t)[0];
-        let rf = e.rf_rel(t.num_events());
-        let rfe = Execution::externalize(&rf, &t);
-        let rfi = Execution::internalize(&rf, &t);
-        assert_eq!(rfe.union(&rfi), rf);
-        assert!(rfe.intersect(&rfi).no_edges());
     }
 
     #[test]

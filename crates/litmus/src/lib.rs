@@ -48,7 +48,7 @@ pub use canon::{
     apply_thread_order, canonical_key_exact, canonical_key_hash, canonicalize_exact, serialize,
     TwoTierCanon,
 };
-pub use check::{each_co_extension, saturate, AxiomSpec, CycleWitness, DiGraph, RfPart, SpecKind};
+pub use check::{each_co_extension, saturate, AxiomSpec, CycleWitness, RfPart, SpecKind};
 pub use convert::to_rmw_pairs;
 pub use event::{Addr, DepKind, FenceKind, Instr, MemOrder, Scope};
 pub use exec::{Execution, ExecutionIter};

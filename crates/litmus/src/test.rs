@@ -297,16 +297,6 @@ impl LitmusTest {
         r
     }
 
-    /// All dependency edges as a relation.
-    pub fn dep_rel_all(&self) -> Rel {
-        self.dep_rel(&[
-            DepKind::Addr,
-            DepKind::Data,
-            DepKind::Ctrl,
-            DepKind::CtrlIsync,
-        ])
-    }
-
     /// The `rmw` relation: two-instruction pairs *and* single-instruction
     /// RMWs (which relate to themselves, read-part to write-part).
     pub fn rmw_rel(&self) -> Rel {
@@ -330,13 +320,6 @@ impl LitmusTest {
     /// Bitmask of write events.
     pub fn write_mask(&self) -> u64 {
         self.writes().iter().fold(0, |m, &g| m | 1 << g)
-    }
-
-    /// Bitmask of fence events.
-    pub fn fence_mask(&self) -> u64 {
-        (0..self.flat.len())
-            .filter(|&g| self.flat[g].is_fence())
-            .fold(0, |m, g| m | 1 << g)
     }
 }
 
@@ -482,7 +465,6 @@ mod tests {
         assert!(sa.contains(0, 0));
         assert!(!sa.contains(0, 1));
         assert!(!sa.contains(1, 1));
-        assert_eq!(t.fence_mask(), 0b010);
     }
 
     #[test]
@@ -509,7 +491,6 @@ mod tests {
         );
         assert_eq!(t.dep_rel(&[DepKind::Data]).edge_count(), 1);
         assert!(t.dep_rel(&[DepKind::Addr]).no_edges());
-        assert_eq!(t.dep_rel_all().edge_count(), 1);
 
         let t2 =
             LitmusTest::new("t2", vec![vec![Instr::load(0), Instr::store(0)]]).with_rmw_pair(0, 0);

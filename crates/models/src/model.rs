@@ -23,30 +23,6 @@ pub enum RelaxKind {
     Ds,
 }
 
-impl RelaxKind {
-    /// All six kinds, in the paper's order.
-    pub const ALL: [RelaxKind; 6] = [
-        RelaxKind::Ri,
-        RelaxKind::Drmw,
-        RelaxKind::Df,
-        RelaxKind::Dmo,
-        RelaxKind::Rd,
-        RelaxKind::Ds,
-    ];
-
-    /// The paper's abbreviation.
-    pub fn abbrev(self) -> &'static str {
-        match self {
-            RelaxKind::Ri => "RI",
-            RelaxKind::Drmw => "DRMW",
-            RelaxKind::Df => "DF",
-            RelaxKind::Dmo => "DMO",
-            RelaxKind::Rd => "RD",
-            RelaxKind::Ds => "DS",
-        }
-    }
-}
-
 /// An axiomatic memory model, written once against [`RelAlg`] and therefore
 /// evaluable both concretely (oracle) and symbolically (synthesis).
 ///
@@ -253,16 +229,5 @@ pub trait MemoryModel {
             Instr::Rmw { order, .. } => self.rmw_orders().contains(&order),
             Instr::Fence { kind, .. } => self.fence_kinds().contains(&kind),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn abbrevs() {
-        assert_eq!(RelaxKind::Ri.abbrev(), "RI");
-        assert_eq!(RelaxKind::ALL.len(), 6);
     }
 }

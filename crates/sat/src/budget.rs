@@ -82,11 +82,6 @@ impl SolveBudget {
         }
     }
 
-    /// `true` if neither a conflict limit nor a fault plan is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_conflicts == 0 && self.fault.is_none()
-    }
-
     /// The exceeded limit, given the conflicts spent so far in this call.
     /// Called by the solver at restart boundaries.
     pub(crate) fn exceeded(&self, spent_conflicts: u64) -> Option<Interrupt> {
@@ -112,7 +107,6 @@ mod tests {
     #[test]
     fn default_budget_is_unlimited() {
         let b = SolveBudget::unlimited();
-        assert!(b.is_unlimited());
         assert_eq!(b.exceeded(u64::MAX - 1), None);
         assert_eq!(b.conflicts_left(12345), u64::MAX);
     }
@@ -120,7 +114,6 @@ mod tests {
     #[test]
     fn conflict_budget_trips_and_reports_remaining() {
         let b = SolveBudget::conflicts(100);
-        assert!(!b.is_unlimited());
         assert_eq!(b.exceeded(99), None);
         assert_eq!(b.exceeded(100), Some(Interrupt::Conflicts));
         assert_eq!(b.conflicts_left(40), 60);

@@ -69,8 +69,6 @@ mod shared;
 mod solver;
 mod types;
 
-pub mod dimacs;
-
 pub use budget::{BudgetedResult, Interrupt, SolveBudget};
 pub use exchange::{ClauseExchange, NoExchange};
 pub use fault::{FaultAction, FaultCtx, FaultPlan, FaultPlanError, FaultSite};

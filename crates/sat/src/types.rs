@@ -79,12 +79,6 @@ impl Lit {
     pub fn code(self) -> usize {
         self.0 as usize
     }
-
-    /// Inverse of [`Lit::code`].
-    #[inline]
-    pub fn from_code(code: usize) -> Lit {
-        Lit(code as u32)
-    }
 }
 
 impl Not for Lit {
@@ -126,7 +120,6 @@ mod tests {
         assert!(!Lit::neg(v).is_positive());
         assert_eq!(!Lit::pos(v), Lit::neg(v));
         assert_eq!(!!Lit::pos(v), Lit::pos(v));
-        assert_eq!(Lit::from_code(Lit::neg(v).code()), Lit::neg(v));
     }
 
     #[test]

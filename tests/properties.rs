@@ -232,7 +232,7 @@ fn permutation_preserves_execution_count() {
 }
 
 // ---------------------------------------------------------------------
-// SAT solver properties (via the DIMACS layer)
+// SAT solver properties
 // ---------------------------------------------------------------------
 
 /// A random CNF: `max_clauses` clauses of 1–3 literals over `vars` vars.
@@ -265,27 +265,6 @@ fn solver_matches_brute_force() {
         }
         let got = s.solve(&[], &mut NoExchange, &SolveBudget::unlimited());
         assert_eq!(got.is_sat(), brute, "{clauses:?}");
-    }
-}
-
-/// DIMACS round-trips preserve satisfiability.
-#[test]
-fn dimacs_roundtrip_preserves_sat() {
-    use litsynth_sat::dimacs::Cnf;
-    use litsynth_sat::{Lit, NoExchange, SolveBudget, Var};
-    let mut rng = SplitMix64::new(0x700D);
-    let budget = SolveBudget::unlimited();
-    for _ in 0..96 {
-        let clauses = gen_cnf(&mut rng, 5, 16);
-        let mut cnf = Cnf::new();
-        for c in &clauses {
-            cnf.add_clause(c.iter().map(|&(v, pos)| Lit::new(Var::from_index(v), pos)));
-        }
-        let text = cnf.to_dimacs();
-        let back = Cnf::parse_dimacs(&text).unwrap();
-        let a = cnf.into_solver().solve(&[], &mut NoExchange, &budget);
-        let b = back.into_solver().solve(&[], &mut NoExchange, &budget);
-        assert_eq!(a, b, "{clauses:?}");
     }
 }
 
